@@ -156,9 +156,7 @@ ReplicaProcess StartupService::start_prebaked(const rt::FunctionSpec& spec,
     try {
       if (options.base.has_value() && options.base->images != nullptr) {
         const criu::LayerLink links[] = {
-            {options.base->images, options.base->fs_prefix,
-             options.base->store_key},
-            {&images, opts.fs_prefix, opts.store_key}};
+            *options.base, {&images, opts.fs_prefix, opts.store_key}};
         restored = restorer.restore_layered(links, opts);
       } else {
         restored = restorer.restore(images, opts);

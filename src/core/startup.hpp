@@ -122,12 +122,7 @@ struct PrebakedStartOptions {
   // layer under it. fs_prefix/store_key address the base's own files and
   // template identity on this node; the delta's come from `restore` as
   // usual. Unset = monolithic restore (the default everywhere).
-  struct LayerBase {
-    const criu::ImageDir* images = nullptr;
-    std::string fs_prefix;
-    std::string store_key;
-  };
-  std::optional<LayerBase> base;
+  std::optional<criu::LayerLink> base;
 };
 
 class StartupService {

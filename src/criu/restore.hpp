@@ -6,7 +6,7 @@
 // namespaces and open files, then remaps and faults the checkpointed memory.
 #pragma once
 
-#include <map>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -77,7 +77,8 @@ struct RestoreOptions {
 
   // Reject contradictory option combinations up front with a typed,
   // non-transient error (retrying a caller bug fails identically forever).
-  // Called by Restorer::restore_chain on every restore.
+  // Every Restorer entry point calls it first, before any image is checked
+  // or a restore is planned.
   void validate() const {
     if (paging.mode != PagingMode::kEager && page_store != nullptr &&
         !store_key.empty())
@@ -98,6 +99,42 @@ struct LayerLink {
   std::string fs_prefix;
   std::string store_key;
 };
+
+// The three ways a restore runs (DESIGN.md §6l).
+enum class RestorePath : std::uint8_t {
+  kReplay,         // replay every link's images into a fresh process
+  kCloneTemplate,  // COW-clone the function's frozen template; read nothing
+  kCloneBase,      // COW-clone the base template, freezing it from link 0
+                   // first when absent, and replay only the delta link
+};
+
+// What plan_restore decided: the path, the links it planned over (borrowed
+// from the caller) and the templates to clone from and to freeze.
+struct RestorePlan {
+  RestorePath path = RestorePath::kReplay;
+  std::span<const LayerLink> links;  // oldest first, as passed
+  std::string clone_key;  // the template a clone path starts from
+  // kCloneBase: the base template to freeze from link 0 first ("" = the
+  // node already holds it).
+  std::string freeze_base;
+  // The function template to freeze after the restore ("" = none).
+  std::string freeze_key;
+
+  // Link i's chain depth for error attribution: 0 is the newest link,
+  // growing toward the oldest; -1 for a single-image restore.
+  int depth(std::size_t i) const {
+    return links.size() > 1 ? static_cast<int>(links.size() - 1 - i) : -1;
+  }
+};
+
+// Choose how to restore `links` (oldest first; the last is the final dump or
+// the app delta). Pure: reads only the links, opts.page_store, opts.paging
+// and PageStore::has_template, and charges no simulated time. The function's
+// template key is links.back().store_key; a two-link chain whose first link
+// has a store_key is a base+delta whose base template can be cloned.
+// Templates need a page store and eager paging.
+RestorePlan plan_restore(std::span<const LayerLink> links,
+                         const RestoreOptions& opts);
 
 // A run of not-yet-mapped pages handed to the uffd server. Run-length
 // encoded: a lazy restore of a large VMA queues one entry per pagemap run,
@@ -189,6 +226,8 @@ struct RestoreResult {
   std::uint64_t layer_shared_pages = 0;
 };
 
+// The three entry points are adapters over one executor (DESIGN.md §6l):
+// each names its links, then the executor validates them, plans and runs.
 class Restorer {
  public:
   explicit Restorer(os::Kernel& kernel) : kernel_{&kernel} {}
@@ -210,25 +249,12 @@ class Restorer {
                                 const RestoreOptions& opts = {});
 
  private:
-  // Fast path: the node store already holds a frozen template for
-  // opts.store_key — COW-clone it, skipping image reads entirely.
-  RestoreResult clone_from_template(std::span<const ImageDir* const> chain,
-                                    const RestoreOptions& opts);
-  // Shared chain-restore body: link i's files are read from link_prefixes[i]
-  // (same length as `chain`; "" = unpersisted). restore_chain derives nested
-  // "parent/" prefixes, restore_layered passes each layer's own directory.
-  RestoreResult restore_links(std::span<const ImageDir* const> chain,
-                              std::span<const std::string> link_prefixes,
-                              const RestoreOptions& opts);
-  // Replay the app delta onto `pid` (a COW clone of the restored base):
-  // identity/threads/fds from the delta metadata, delta-only VMAs mapped
-  // fresh, shared VMAs resolved through the base template's vma map.
-  // Returns the delta's image-vma-id → actual-vma-id map (for registering a
-  // combined function template).
-  std::map<os::VmaId, os::VmaId> apply_delta(
-      os::Pid pid, const ImageDir& delta,
-      const std::map<os::VmaId, os::VmaId>& base_vma_map,
-      const RestoreOptions& opts, RestoreResult& result);
+  // Check the options and every link (CRC; the layer manifest when
+  // `layered`), plan, and run the plan.
+  RestoreResult execute(std::span<const LayerLink> links,
+                        const RestoreOptions& opts, bool layered);
+  // Run a plan's steps (DESIGN.md §6l lists them in order).
+  RestoreResult run(const RestorePlan& plan, const RestoreOptions& opts);
 
   os::Kernel* kernel_;
 };

@@ -337,9 +337,7 @@ Platform::Replica* Platform::start_replica(const std::string& function,
               kernel_->fs().create(path, f.nominal_size);
           }
         }
-        core::PrebakedStartOptions::LayerBase lb;
-        lb.images = &base->images;
-        lb.fs_prefix = base_prefix;
+        criu::LayerLink lb{&base->images, base_prefix, ""};
         if (!opts.restore.store_key.empty()) lb.store_key = base_prefix;
         opts.base = std::move(lb);
       }

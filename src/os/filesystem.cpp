@@ -1,5 +1,6 @@
 #include "os/filesystem.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace prebake::os {
@@ -101,6 +102,7 @@ std::vector<std::string> FileSystem::list(const std::string& prefix) const {
   std::vector<std::string> out;
   for (const auto& [path, f] : files_)
     if (path.starts_with(prefix)) out.push_back(path);
+  std::sort(out.begin(), out.end());
   return out;
 }
 

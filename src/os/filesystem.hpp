@@ -8,10 +8,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "os/cost_model.hpp"
@@ -67,6 +67,7 @@ class FileSystem {
   void warm(const std::string& path);
   bool is_cached(const std::string& path) const;
 
+  // Paths under `prefix`, sorted.
   std::vector<std::string> list(const std::string& prefix) const;
 
  private:
@@ -82,7 +83,9 @@ class FileSystem {
   sim::Simulation* sim_;
   const CostModel* costs_;
   faults::Injector* injector_;
-  std::map<std::string, File> files_;
+  // Hashed: every image read looks its file up, and nothing walks the
+  // table in order except list(), which sorts.
+  std::unordered_map<std::string, File> files_;
 };
 
 }  // namespace prebake::os

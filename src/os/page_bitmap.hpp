@@ -64,8 +64,7 @@ class PageBitmap {
   // Population count over the whole bitmap / a clamped range.
   std::uint64_t count() const {
     std::uint64_t total = 0;
-    for (const std::uint64_t w : words_)
-      total += static_cast<std::uint64_t>(std::popcount(w));
+    for (const std::uint64_t w : words_) total += popcount(w);
     return total;
   }
   std::uint64_t count_range(std::uint64_t first, std::uint64_t n) const {
@@ -75,13 +74,10 @@ class PageBitmap {
     const std::uint64_t wf = first >> 6, we = (end - 1) >> 6;
     const std::uint64_t head = ~std::uint64_t{0} << (first & 63);
     const std::uint64_t tail = ~std::uint64_t{0} >> (63 - ((end - 1) & 63));
-    if (wf == we)
-      return static_cast<std::uint64_t>(std::popcount(words_[wf] & head & tail));
+    if (wf == we) return popcount(words_[wf] & head & tail);
     std::uint64_t total =
-        static_cast<std::uint64_t>(std::popcount(words_[wf] & head)) +
-        static_cast<std::uint64_t>(std::popcount(words_[we] & tail));
-    for (std::uint64_t w = wf + 1; w < we; ++w)
-      total += static_cast<std::uint64_t>(std::popcount(words_[w]));
+        popcount(words_[wf] & head) + popcount(words_[we] & tail);
+    for (std::uint64_t w = wf + 1; w < we; ++w) total += popcount(words_[w]);
     return total;
   }
   bool any() const {
@@ -127,6 +123,14 @@ class PageBitmap {
 
  private:
   static std::uint64_t word_count(std::uint64_t n) { return (n + 63) >> 6; }
+  // Without -mpopcnt std::popcount is a libgcc call. Empty and full words (a
+  // fresh VMA, a fully restored run) need none; they are ~99% of the words
+  // counted on the benchmark workloads (DESIGN.md §6g).
+  static std::uint64_t popcount(std::uint64_t w) {
+    if (w == 0) return 0;
+    if (w == ~std::uint64_t{0}) return 64;
+    return static_cast<std::uint64_t>(std::popcount(w));
+  }
   void apply(std::uint64_t word, std::uint64_t mask, bool value) {
     if (value)
       words_[word] |= mask;

@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "criu/dump.hpp"
+#include "criu/page_store.hpp"
 #include "criu/restore.hpp"
 
 namespace prebake::criu {
@@ -592,8 +593,58 @@ TEST_F(DumpRestoreTest, ChainRestoreMissingParentPagemapIsTypedError) {
     FAIL() << "restore_chain succeeded with a gutted parent link";
   } catch (const RestoreError& e) {
     EXPECT_EQ(e.kind(), RestoreErrorKind::kMissingImage);
+    EXPECT_EQ(e.chain_link(), 1);  // the parent, one link below the final
     EXPECT_FALSE(e.transient());  // retrying cannot conjure the file back
   }
+}
+
+TEST_F(DumpRestoreTest, ChainRestoreDigestParentOfBufferMemoryIsTypedError) {
+  // A full-payload final dump does not rescue a digest-mode parent: the
+  // parent's runs of buffer-backed memory still have no bytes to replay.
+  // The failure is typed (so a prebaked start retries or falls back) and
+  // names the parent link.
+  const os::Pid pid =
+      make_buffer_target(std::vector<std::uint8_t>(2 * kPageSize, 0x5A));
+  DumpOptions pre;
+  pre.pre_dump = true;  // digest payload, the default
+  const DumpResult parent = Dumper{kernel_}.dump(pid, pre);
+  DumpOptions last;
+  last.payload_mode = PayloadMode::kFull;
+  last.parent = &parent.images;
+  const DumpResult child = Dumper{kernel_}.dump(pid, last);
+
+  const ImageDir* chain[] = {&parent.images, &child.images};
+  try {
+    Restorer{kernel_}.restore_chain(chain);
+    FAIL() << "restore_chain rebuilt buffer memory from a digest-mode parent";
+  } catch (const RestoreError& e) {
+    EXPECT_EQ(e.kind(), RestoreErrorKind::kUnsupported);
+    EXPECT_EQ(e.chain_link(), 1);
+  }
+}
+
+TEST_F(DumpRestoreTest, TemplateCloneOverCorruptCopyIsTypedError) {
+  // Every path CRC-checks its images before acting on them, the template
+  // clone included: a damaged copy restored under a key whose template is
+  // already frozen fails typed instead of cloning past the damage.
+  const os::Pid pid = make_target();
+  const DumpResult dump = Dumper{kernel_}.dump(pid);
+  PageStore store;
+  RestoreOptions opts;
+  opts.page_store = &store;
+  opts.store_key = "/snap/tpl/";
+  Restorer{kernel_}.restore(dump.images, opts);
+  ASSERT_TRUE(store.has_template("/snap/tpl/"));
+
+  const ImageDir bad =
+      copy_images(dump.images, /*drop=*/"", /*corrupt=*/"inventory.img");
+  try {
+    Restorer{kernel_}.restore(bad, opts);
+    FAIL() << "template clone accepted a CRC-corrupt copy of the images";
+  } catch (const RestoreError& e) {
+    EXPECT_EQ(e.kind(), RestoreErrorKind::kCorruptImage);
+  }
+  EXPECT_EQ(store.stats().template_clones, 0u);
 }
 
 TEST_F(DumpRestoreTest, ChainRestoreCrcMismatchInMiddleLinkIsTypedError) {

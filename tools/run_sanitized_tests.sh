@@ -23,63 +23,10 @@ cmake --preset asan-ubsan
 cmake --build build-sanitize --target prebake_tests -j "$(nproc 2>/dev/null || echo 4)"
 
 # halt_on_error keeps UBSan findings fatal so CTest sees a non-zero exit.
+# This one pass runs every suite, including the ones that unwind through the
+# restore pipeline or juggle lifetimes hardest (Chaos*, Trace*, Store*,
+# Template*, RestoreBatch*, Scale*, Migrat*, WsRestore*, Layer*); re-running
+# them filtered would only repeat the same binary under the same options.
 ASAN_OPTIONS="${ASAN_OPTIONS:-detect_stack_use_after_return=1}" \
 UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}" \
   ./build-sanitize/tests/prebake_tests
-
-# Second pass over the fault-injection suites alone: the chaos paths throw
-# and unwind through the restore pipeline far more than the happy path, so
-# give the sanitizers a dedicated look at them.
-ASAN_OPTIONS="${ASAN_OPTIONS:-detect_stack_use_after_return=1}" \
-UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}" \
-  ./build-sanitize/tests/prebake_tests --gtest_filter='Chaos*'
-
-# Third pass over the tracing suites: the Span/Tracer lifetime rules
-# (handles outliving take_records, the replaced-operator-new allocation
-# counter) are exactly the kind of thing ASan is for.
-ASAN_OPTIONS="${ASAN_OPTIONS:-detect_stack_use_after_return=1}" \
-UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}" \
-  ./build-sanitize/tests/prebake_tests --gtest_filter='Trace*'
-
-# Fourth pass over the page-store and zero-copy image suites: COW sharing
-# tracks refcounts across process teardown and template drops, and the
-# borrowed PagesView spans (StoreView*) plus the batched replay paths
-# (RestoreBatch*) hand out pointers into ImageDir-owned buffers — the
-# classic use-after-free shapes ASan exists to catch.
-ASAN_OPTIONS="${ASAN_OPTIONS:-detect_stack_use_after_return=1}" \
-UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}" \
-  ./build-sanitize/tests/prebake_tests \
-  --gtest_filter='Store*:Template*:StoreView*:RestoreBatch*'
-
-# Fifth pass over the scale/streaming suites: the calendar queue's bucket
-# recycling, the self-referential streaming-replay closure, and the scale
-# scenario's aggregate bookkeeping all juggle lifetimes that deserve a
-# sanitized run of their own.
-ASAN_OPTIONS="${ASAN_OPTIONS:-detect_stack_use_after_return=1}" \
-UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}" \
-  ./build-sanitize/tests/prebake_tests \
-  --gtest_filter='Scale*:TraceStream*'
-
-# Sixth pass over the live-migration suites: the pre-dump chain's
-# unique_ptr-held links, the staged standby process, and the abort-to-local
-# paths move ownership across rewound timelines — exactly the lifetime churn
-# sanitizers exist to catch.
-ASAN_OPTIONS="${ASAN_OPTIONS:-detect_stack_use_after_return=1}" \
-UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}" \
-  ./build-sanitize/tests/prebake_tests --gtest_filter='Migrat*'
-
-# Seventh pass over the working-set restore suites: the shared WsRecorder
-# outlives the Restorer, the kernel's fault-capture bitmaps are erased on
-# reap, and the prefetch path borrows digest spans out of the decode cache —
-# all lifetime seams introduced by the record-and-prefetch restore.
-ASAN_OPTIONS="${ASAN_OPTIONS:-detect_stack_use_after_return=1}" \
-UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}" \
-  ./build-sanitize/tests/prebake_tests --gtest_filter='WsRestore*'
-
-# Eighth pass over the layered-snapshot suites: the pinned base templates
-# hold frozen processes across clone/evict cycles, apply_delta swaps page
-# sources on COW-shared VMAs, and eviction kills template pids while clones
-# still reference their frames — the refcount/lifetime seams of §6k.
-ASAN_OPTIONS="${ASAN_OPTIONS:-detect_stack_use_after_return=1}" \
-UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}" \
-  ./build-sanitize/tests/prebake_tests --gtest_filter='Layer*'
