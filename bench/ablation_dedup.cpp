@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "core/prebaker.hpp"
-#include "criu/dedup.hpp"
+#include "criu/page_store.hpp"
 #include "exp/calibration.hpp"
 #include "exp/report.hpp"
 #include "faas/builder.hpp"
@@ -52,23 +52,31 @@ int main() {
        core::SnapshotPolicy::no_warmup()},
   };
 
-  criu::DedupIndex index;
+  // The store holds each distinct page once; `total` counts every snapshot's
+  // pages as if each were stored whole.
+  criu::PageStore store;
+  std::uint64_t total = 0;
   exp::TextTable table{{"Snapshot", "Pages", "New pages", "Store total",
                         "Store unique", "Dedup ratio"}};
   std::uint64_t seed = 1;
   for (const Entry& e : entries) {
     const core::BakedSnapshot snap = bake(builder, e.spec, e.policy, seed++);
-    const std::uint64_t pages = snap.stats.pages_dumped;
-    const std::uint64_t fresh = index.add(snap.images);
+    const std::span<const std::uint64_t> digests =
+        snap.images.decoded().pages->digests();
+    const std::uint64_t fresh = store.insert(digests);
+    total += digests.size();
     char ratio[16];
-    std::snprintf(ratio, sizeof ratio, "%.2fx", index.stats().dedup_ratio());
-    table.add_row({e.label, std::to_string(pages), std::to_string(fresh),
-                   exp::fmt_mib(index.stats().total_bytes()),
-                   exp::fmt_mib(index.stats().unique_bytes()), ratio});
+    std::snprintf(ratio, sizeof ratio, "%.2fx",
+                  static_cast<double>(total) /
+                      static_cast<double>(store.stored_pages()));
+    table.add_row({e.label, std::to_string(snap.stats.pages_dumped),
+                   std::to_string(fresh), exp::fmt_mib(total * os::kPageSize),
+                   exp::fmt_mib(store.stored_bytes()), ratio});
   }
   std::printf("%s\n", table.to_string().c_str());
   std::printf("saved by content addressing: %s\n",
-              exp::fmt_mib(index.stats().saved_bytes()).c_str());
+              exp::fmt_mib(total * os::kPageSize - store.stored_bytes())
+                  .c_str());
   std::printf(
       "\nShape: the second and later snapshots contribute mostly their own\n"
       "app state — the ~13 MiB runtime base (heap + metaspace after\n"

@@ -14,8 +14,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -23,6 +21,7 @@
 #include "exp/parallel_runner.hpp"
 #include "exp/run.hpp"
 #include "exp/scenario.hpp"
+#include "gate.hpp"
 #include "obs/export.hpp"
 #include "stats/bootstrap.hpp"
 #include "stats/descriptive.hpp"
@@ -104,48 +103,31 @@ SweepTiming time_sweep(const std::string& name,
   return t;
 }
 
-void write_json(const std::string& path, int threads,
-                const std::vector<SweepTiming>& rows) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_harness: cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::fprintf(f, "{\n  \"threads\": %d,\n  \"figures\": [\n", threads);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const SweepTiming& r = rows[i];
-    std::fprintf(f,
-                 "    {\"figure\": \"%s\", \"cells\": %zu, "
-                 "\"repetitions\": %d, \"serial_ms\": %.1f, "
-                 "\"engine_serial_ms\": %.1f, \"parallel_ms\": %.1f, "
-                 "\"speedup\": %.2f}%s\n",
-                 r.name.c_str(), r.cells, r.repetitions, r.serial_ms,
-                 r.engine_serial_ms, r.parallel_ms, r.speedup(),
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+bench::Json to_json(int threads, const std::vector<SweepTiming>& rows) {
+  bench::Json json{"figures"};
+  json.header.add("threads", "%d", threads);
+  for (const SweepTiming& r : rows)
+    json.row()
+        .add("figure", "\"%s\"", r.name.c_str())
+        .add("cells", "%zu", r.cells)
+        .add("repetitions", "%d", r.repetitions)
+        .add("serial_ms", "%.1f", r.serial_ms)
+        .add("engine_serial_ms", "%.1f", r.engine_serial_ms)
+        .add("parallel_ms", "%.1f", r.parallel_ms)
+        .add("speedup", "%.2f", r.speedup());
+  return json;
 }
 
 // --- --check mode ----------------------------------------------------------
 
-int g_failures = 0;
-
-void expect(bool ok, const char* what) {
-  std::printf("  [%s] %s\n", ok ? "ok" : "FAIL", what);
-  if (!ok) ++g_failures;
-}
-
-void expect_near(double got, double want, double rel_tol, const char* what) {
-  const bool ok = std::fabs(got - want) <= rel_tol * want;
-  std::printf("  [%s] %s: got %.2f, want %.2f +/- %.0f%%\n", ok ? "ok" : "FAIL",
-              what, got, want, rel_tol * 100);
-  if (!ok) ++g_failures;
-}
-
 int run_check(int threads) {
   const int reps = 40;
   std::printf("bench_harness --check (reps=%d, threads=%d)\n", reps, threads);
+  bench::Gates g;
+  const auto near = [&g](double got, double want, const char* what) {
+    g.check(std::fabs(got - want) <= 0.10 * want,
+            "%s: got %.2f, want %.2f +/- 10%%", what, got, want);
+  };
 
   // 1. Determinism: the engine must be bit-identical across thread counts.
   const auto cells = fig3_cells(reps);
@@ -154,37 +136,31 @@ int run_check(int threads) {
   bool identical = at1.size() == atN.size();
   for (std::size_t i = 0; identical && i < at1.size(); ++i)
     identical = at1[i].startup_ms == atN[i].startup_ms;
-  expect(identical, "startup_ms bit-identical for 1 vs N threads");
+  g.check(identical, "startup_ms differs between 1 and %d threads", threads);
 
   const auto ci1 = stats::bootstrap_median_ci(at1[0].startup_ms, 0.95, 2000,
                                               0x9b0074bead5ULL, 1);
   const auto ciN = stats::bootstrap_median_ci(atN[0].startup_ms, 0.95, 2000,
                                               0x9b0074bead5ULL, threads);
-  expect(ci1.lo == ciN.lo && ci1.hi == ciN.hi && ci1.point == ciN.point,
-         "bootstrap CI bit-identical for 1 vs N threads");
+  g.check(ci1.lo == ciN.lo && ci1.hi == ciN.hi && ci1.point == ciN.point,
+          "bootstrap CI differs between 1 and %d threads", threads);
 
   // 2. Reproduction: the paper's headline numbers must still be in range
   // (Figure 3 medians; Figure 5 growth with code size).
-  expect_near(stats::median(atN[0].startup_ms), 103.3, 0.10,
-              "fig3 NOOP Vanilla median (ms)");
-  expect_near(stats::median(atN[1].startup_ms), 62.0, 0.10,
-              "fig3 NOOP Prebaking median (ms)");
-  expect_near(stats::median(atN[4].startup_ms), 310.0, 0.10,
-              "fig3 Resizer Vanilla median (ms)");
-  expect_near(stats::median(atN[5].startup_ms), 87.0, 0.10,
-              "fig3 Resizer Prebaking median (ms)");
+  near(stats::median(atN[0].startup_ms), 103.3,
+       "fig3 NOOP Vanilla median (ms)");
+  near(stats::median(atN[1].startup_ms), 62.0,
+       "fig3 NOOP Prebaking median (ms)");
+  near(stats::median(atN[4].startup_ms), 310.0,
+       "fig3 Resizer Vanilla median (ms)");
+  near(stats::median(atN[5].startup_ms), 87.0,
+       "fig3 Resizer Prebaking median (ms)");
 
   const auto f5 = exp::ParallelRunner{threads}.run_startup(fig5_cells(reps));
-  expect_near(stats::median(f5[0].startup_ms), 219.8, 0.10,
-              "fig5 small Vanilla median (ms)");
-  expect_near(stats::median(f5[2].startup_ms), 1621.0, 0.10,
-              "fig5 big Vanilla median (ms)");
-
-  if (g_failures == 0)
-    std::printf("CHECK PASSED\n");
-  else
-    std::printf("CHECK FAILED: %d assertion(s)\n", g_failures);
-  return g_failures == 0 ? 0 : 1;
+  near(stats::median(f5[0].startup_ms), 219.8,
+       "fig5 small Vanilla median (ms)");
+  near(stats::median(f5[2].startup_ms), 1621.0, "fig5 big Vanilla median (ms)");
+  return g.verdict();
 }
 
 // --- --trace mode ----------------------------------------------------------
@@ -205,51 +181,25 @@ int run_trace(const std::string& path, int reps, int threads) {
   spec.trace = true;
 
   const exp::ScenarioRun run = exp::run(spec);
-  const std::string json = obs::to_chrome_json(run.trace);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_harness: cannot write %s\n", path.c_str());
-    return 1;
-  }
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  std::printf("bench_harness --trace: fig3 NOOP %s, %d reps\n",
-              exp::technique_name(cfg.technique), reps);
-  std::printf("wrote %zu spans to %s (load in about:tracing / Perfetto)\n",
-              run.trace.spans.size(), path.c_str());
-  return 0;
+  std::printf("bench_harness --trace: fig3 NOOP %s, %d reps, %zu spans (load "
+              "in about:tracing / Perfetto)\n",
+              exp::technique_name(cfg.technique), reps, run.trace.spans.size());
+  return bench::write_file(path, obs::to_chrome_json(run.trace)) ? 0 : 1;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  int threads = 4;
-  int reps = 200;
-  bool check = false;
-  std::string out = "BENCH_harness.json";
-  std::string trace_out;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
-      reps = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out = argv[++i];
-    } else if (std::strcmp(argv[i], "--trace") == 0 && i + 1 < argc) {
-      trace_out = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_harness [--check] [--threads N] [--reps N] "
-                   "[--out FILE] [--trace FILE]\n");
-      return 2;
-    }
-  }
-  if (threads < 1) threads = util::resolve_threads(0);
+  const bench::Flags flags = bench::parse_flags(
+      argc, argv, "bench_harness",
+      bench::kCheck | bench::kThreads | bench::kReps | bench::kTrace,
+      "BENCH_harness.json");
+  const int threads =
+      flags.threads < 1 ? util::resolve_threads(0) : flags.threads;
+  const int reps = flags.reps;
 
-  if (!trace_out.empty()) return run_trace(trace_out, reps, threads);
-  if (check) return run_check(threads);
+  if (!flags.trace.empty()) return run_trace(flags.trace, reps, threads);
+  if (flags.check) return run_check(threads);
 
   std::printf("bench_harness: timing fig3 + fig5 sweeps "
               "(reps=%d, threads=%d)\n\n",
@@ -275,8 +225,6 @@ int main(int argc, char** argv) {
     std::printf("%-10s %6zu %6d %12.1f %16.1f %12.1f %7.2fx\n", r.name.c_str(),
                 r.cells, r.repetitions, r.serial_ms, r.engine_serial_ms,
                 r.parallel_ms, r.speedup());
-
-  write_json(out, threads, rows);
-  std::printf("\nwrote %s\n", out.c_str());
-  return 0;
+  std::printf("\n");
+  return bench::write_file(flags.out, to_json(threads, rows).render()) ? 0 : 1;
 }

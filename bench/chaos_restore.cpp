@@ -12,13 +12,14 @@
 //
 //   --check  gates on the default fault rate (5%): every request answered,
 //            availability >= 99%.
+#include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "exp/chaos.hpp"
 #include "exp/report.hpp"
+#include "gate.hpp"
 
 using namespace prebake;
 
@@ -40,6 +41,9 @@ os::FaultPlan plan_at(double r, std::uint64_t seed) {
   return plan;
 }
 
+constexpr double kRates[] = {0.0, 0.01, 0.05, 0.10};
+constexpr std::size_t kDefaultCell = 2;  // the default 5% fault rate
+
 exp::ChaosScenarioResult run_rate(double rate, std::uint64_t seed) {
   exp::ChaosScenarioConfig cfg;
   cfg.seed = seed;
@@ -47,73 +51,33 @@ exp::ChaosScenarioResult run_rate(double rate, std::uint64_t seed) {
   return exp::run_chaos_scenario(cfg);
 }
 
-void write_json(const std::string& path, const std::vector<double>& rates,
-                const std::vector<exp::ChaosScenarioResult>& results) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "chaos_restore: cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::fprintf(f, "{\n  \"rates\": [\n");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const exp::ChaosScenarioResult& r = results[i];
-    std::fprintf(
-        f,
-        "    {\"fault_rate\": %.3f, \"requests\": %llu, \"answered\": %llu, "
-        "\"ok\": %llu, \"availability\": %.4f, \"fallback_rate\": %.4f, "
-        "\"restore_retries\": %llu, \"quarantines\": %llu, \"rebakes\": %llu, "
-        "\"node_crashes\": %llu, \"requests_requeued\": %llu, "
-        "\"faults_injected\": %llu, \"total_p50_ms\": %.2f, "
-        "\"total_p95_ms\": %.2f, \"total_p99_ms\": %.2f}%s\n",
-        rates[i], static_cast<unsigned long long>(r.requests),
-        static_cast<unsigned long long>(r.answered),
-        static_cast<unsigned long long>(r.responses_ok), r.availability,
-        r.fallback_rate, static_cast<unsigned long long>(r.restore_retries),
-        static_cast<unsigned long long>(r.snapshot_quarantines),
-        static_cast<unsigned long long>(r.snapshot_rebakes),
-        static_cast<unsigned long long>(r.node_crashes),
-        static_cast<unsigned long long>(r.requests_requeued),
-        static_cast<unsigned long long>(r.faults_injected), r.total_p50_ms,
-        r.total_p95_ms, r.total_p99_ms,
-        i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+using Outcome = bench::Outcome<double, exp::ChaosScenarioResult>;
+
+void json_row(const Outcome& o, bench::Row& row) {
+  const exp::ChaosScenarioResult& r = o.r;
+  row.add("fault_rate", "%.3f", o.cell)
+      .add("requests", "%" PRIu64, r.requests)
+      .add("answered", "%" PRIu64, r.answered)
+      .add("ok", "%" PRIu64, r.responses_ok)
+      .add("availability", "%.4f", r.availability)
+      .add("fallback_rate", "%.4f", r.fallback_rate)
+      .add("restore_retries", "%" PRIu64, r.restore_retries)
+      .add("quarantines", "%" PRIu64, r.snapshot_quarantines)
+      .add("rebakes", "%" PRIu64, r.snapshot_rebakes)
+      .add("node_crashes", "%" PRIu64, r.node_crashes)
+      .add("requests_requeued", "%" PRIu64, r.requests_requeued)
+      .add("faults_injected", "%" PRIu64, r.faults_injected)
+      .add("total_p50_ms", "%.2f", r.total_p50_ms)
+      .add("total_p95_ms", "%.2f", r.total_p95_ms)
+      .add("total_p99_ms", "%.2f", r.total_p99_ms);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  std::string out = "BENCH_chaos_restore.json";
-  std::uint64_t seed = 42;
-  bool check = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out = argv[++i];
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: chaos_restore [--out FILE] [--seed N] [--check]\n");
-      return 2;
-    }
-  }
-
-  std::printf("== Chaos: resilient restore under injected faults ==\n\n");
-
-  const std::vector<double> rates = {0.0, 0.01, 0.05, 0.10};
-  constexpr double kDefaultRate = 0.05;
-  std::vector<exp::ChaosScenarioResult> results;
-  for (const double rate : rates) results.push_back(run_rate(rate, seed));
-
+void report(const std::vector<Outcome>& outcomes) {
   exp::TextTable table{{"Fault rate", "Requests", "Avail", "Fallback",
                         "Retries", "Quar", "Rebake", "Crash", "Total p95",
                         "Total p99"}};
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const exp::ChaosScenarioResult& r = results[i];
-    table.add_row({exp::fmt_percent(rates[i]), std::to_string(r.requests),
+  for (const auto& [rate, r] : outcomes)
+    table.add_row({exp::fmt_percent(rate), std::to_string(r.requests),
                    exp::fmt_percent(r.availability),
                    exp::fmt_percent(r.fallback_rate),
                    std::to_string(r.restore_retries),
@@ -121,51 +85,48 @@ int main(int argc, char** argv) {
                    std::to_string(r.snapshot_rebakes),
                    std::to_string(r.node_crashes),
                    exp::fmt_ms(r.total_p95_ms), exp::fmt_ms(r.total_p99_ms)});
-  }
   std::printf("%s\n", table.to_string().c_str());
 
-  std::printf("Injected faults by site (rate %.0f%%):\n",
-              kDefaultRate * 100.0);
-  for (const auto& [site, fired] : results[2].fired_by_site)
-    if (fired > 0)
-      std::printf("  %-20s %llu\n", site.c_str(),
-                  static_cast<unsigned long long>(fired));
-  std::printf("\n");
-
-  write_json(out, rates, results);
-  std::printf("wrote %s\n", out.c_str());
-
+  const auto& [rate, r] = outcomes[kDefaultCell];
+  std::printf("Injected faults by site (rate %.0f%%):\n", rate * 100.0);
+  for (const auto& [site, fired] : r.fired_by_site)
+    if (fired > 0) std::printf("  %-20s %" PRIu64 "\n", site.c_str(), fired);
   std::printf(
       "\nShape: retries absorb transient faults, quarantine + re-bake heal\n"
       "poisoned snapshots, fallbacks keep availability while trading away\n"
-      "the prebaking latency win (p99 climbs toward the Vanilla baseline).\n");
+      "the prebaking latency win (p99 climbs toward the Vanilla "
+      "baseline).\n\n");
+}
 
-  if (check) {
-    const exp::ChaosScenarioResult& r = results[2];  // the 5% cell
-    bool ok = true;
-    if (r.answered != r.requests) {
-      std::fprintf(stderr,
-                   "CHECK FAILED: %llu of %llu requests never answered\n",
-                   static_cast<unsigned long long>(r.requests - r.answered),
-                   static_cast<unsigned long long>(r.requests));
-      ok = false;
-    }
-    if (r.availability < 0.99) {
-      std::fprintf(stderr,
-                   "CHECK FAILED: availability %.4f < 0.99 at %.0f%% faults\n",
-                   r.availability, kDefaultRate * 100.0);
-      ok = false;
-    }
-    if (results[0].faults_injected != 0) {
-      std::fprintf(stderr,
-                   "CHECK FAILED: %llu faults fired with an all-zero plan\n",
-                   static_cast<unsigned long long>(results[0].faults_injected));
-      ok = false;
-    }
-    if (!ok) return 1;
-    std::printf("\ncheck ok: no request lost, availability %.2f%% >= 99%% at "
-                "%.0f%% fault rate\n",
-                r.availability * 100.0, kDefaultRate * 100.0);
-  }
-  return 0;
+void check_gates(const std::vector<Outcome>& outcomes, bench::Gates& g) {
+  const auto& [rate, r] = outcomes[kDefaultCell];
+  g.check(r.answered == r.requests,
+          "%" PRIu64 " of %" PRIu64 " requests never answered",
+          r.requests - r.answered, r.requests);
+  if (g.check(r.availability >= 0.99,
+              "availability %.4f < 0.99 at %.0f%% faults", r.availability,
+              rate * 100.0))
+    std::printf("availability %.2f%% >= 99%% at %.0f%% fault rate\n",
+                r.availability * 100.0, rate * 100.0);
+  g.check(outcomes[0].r.faults_injected == 0,
+          "%" PRIu64 " faults fired with an all-zero plan",
+          outcomes[0].r.faults_injected);
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const bench::Flags flags = bench::parse_flags(
+      argc, argv, "chaos_restore", bench::kCheck | bench::kSeed,
+      "BENCH_chaos_restore.json");
+  std::printf("== Chaos: resilient restore under injected faults ==\n\n");
+  return bench::run<double, exp::ChaosScenarioResult>(
+      flags,
+      {.cells = kRates,
+       .run_cell = [&](double rate) { return run_rate(rate, flags.seed); },
+       .array = "rates",
+       .row = json_row,
+       .report = report,
+       .gates = check_gates,
+       .threaded = false});
 }

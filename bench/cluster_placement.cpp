@@ -14,17 +14,24 @@
 //                 (Ustiugov et al.'s snapshot-locality observation)
 //
 // and reports cold-start latency, registry traffic, and cache behaviour.
+#include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "exp/cluster.hpp"
 #include "exp/report.hpp"
+#include "gate.hpp"
 
 using namespace prebake;
 
 namespace {
+
+constexpr faas::PlacementPolicy kPolicies[] = {
+    faas::PlacementPolicy::kWorstFit,
+    faas::PlacementPolicy::kRoundRobin,
+    faas::PlacementPolicy::kSnapshotLocality,
+};
 
 exp::ClusterScenarioResult run_policy(faas::PlacementPolicy policy,
                                       std::uint64_t seed) {
@@ -34,75 +41,33 @@ exp::ClusterScenarioResult run_policy(faas::PlacementPolicy policy,
   return exp::run_cluster_scenario(cfg);
 }
 
-void write_json(const std::string& path,
-                const std::vector<faas::PlacementPolicy>& policies,
-                const std::vector<exp::ClusterScenarioResult>& results) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cluster_placement: cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::fprintf(f, "{\n  \"policies\": [\n");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const exp::ClusterScenarioResult& r = results[i];
-    std::fprintf(
-        f,
-        "    {\"policy\": \"%s\", \"requests\": %llu, \"ok\": %llu, "
-        "\"cold_starts\": %llu, \"cold_startup_p50_ms\": %.2f, "
-        "\"cold_startup_p95_ms\": %.2f, \"total_p50_ms\": %.2f, "
-        "\"total_p95_ms\": %.2f, \"total_p99_ms\": %.2f, "
-        "\"snapshot_hits\": %llu, \"snapshot_misses\": %llu, "
-        "\"remote_mib_fetched\": %.1f}%s\n",
-        faas::placement_policy_name(policies[i]),
-        static_cast<unsigned long long>(r.requests),
-        static_cast<unsigned long long>(r.responses_ok),
-        static_cast<unsigned long long>(r.cold_starts),
-        r.cold_startup_p50_ms, r.cold_startup_p95_ms, r.total_p50_ms,
-        r.total_p95_ms, r.total_p99_ms,
-        static_cast<unsigned long long>(r.snapshot_hits),
-        static_cast<unsigned long long>(r.snapshot_misses),
-        static_cast<double>(r.remote_bytes_fetched) / (1024.0 * 1024.0),
-        i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+using Outcome =
+    bench::Outcome<faas::PlacementPolicy, exp::ClusterScenarioResult>;
+
+void json_row(const Outcome& o, bench::Row& row) {
+  const exp::ClusterScenarioResult& r = o.r;
+  row.add("policy", "\"%s\"", faas::placement_policy_name(o.cell))
+      .add("requests", "%" PRIu64, r.requests)
+      .add("ok", "%" PRIu64, r.responses_ok)
+      .add("cold_starts", "%" PRIu64, r.cold_starts)
+      .add("cold_startup_p50_ms", "%.2f", r.cold_startup_p50_ms)
+      .add("cold_startup_p95_ms", "%.2f", r.cold_startup_p95_ms)
+      .add("total_p50_ms", "%.2f", r.total_p50_ms)
+      .add("total_p95_ms", "%.2f", r.total_p95_ms)
+      .add("total_p99_ms", "%.2f", r.total_p99_ms)
+      .add("snapshot_hits", "%" PRIu64, r.snapshot_hits)
+      .add("snapshot_misses", "%" PRIu64, r.snapshot_misses)
+      .add("remote_mib_fetched", "%.1f",
+           static_cast<double>(r.remote_bytes_fetched) / (1024.0 * 1024.0));
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  std::string out = "BENCH_cluster_placement.json";
-  std::uint64_t seed = 42;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out = argv[++i];
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else {
-      std::fprintf(stderr, "usage: cluster_placement [--out FILE] [--seed N]\n");
-      return 2;
-    }
-  }
-
-  std::printf("== Placement policies, 4-node cluster, remote snapshot "
-              "registry (Section 7) ==\n\n");
-
-  const std::vector<faas::PlacementPolicy> policies = {
-      faas::PlacementPolicy::kWorstFit,
-      faas::PlacementPolicy::kRoundRobin,
-      faas::PlacementPolicy::kSnapshotLocality,
-  };
-  std::vector<exp::ClusterScenarioResult> results;
-  for (const faas::PlacementPolicy policy : policies)
-    results.push_back(run_policy(policy, seed));
-
+void report(const std::vector<Outcome>& outcomes) {
   exp::TextTable table{{"Policy", "Requests", "Cold", "Cold p50", "Cold p95",
                         "Total p95", "Cache hit", "Registry MiB"}};
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const exp::ClusterScenarioResult& r = results[i];
+  for (const auto& [policy, r] : outcomes) {
     const std::uint64_t lookups = r.snapshot_hits + r.snapshot_misses;
     table.add_row(
-        {faas::placement_policy_name(policies[i]), std::to_string(r.requests),
+        {faas::placement_policy_name(policy), std::to_string(r.requests),
          std::to_string(r.cold_starts), exp::fmt_ms(r.cold_startup_p50_ms),
          exp::fmt_ms(r.cold_startup_p95_ms), exp::fmt_ms(r.total_p95_ms),
          exp::fmt_percent(lookups == 0 ? 0.0
@@ -113,7 +78,7 @@ int main(int argc, char** argv) {
   std::printf("%s\n", table.to_string().c_str());
 
   std::printf("Per-node view (locality policy):\n");
-  const exp::ClusterScenarioResult& loc = results.back();
+  const exp::ClusterScenarioResult& loc = outcomes.back().r;
   exp::TextTable nodes{{"Node", "Placed", "Hits", "Misses", "Evict",
                         "Registry MiB", "Busy"}};
   for (const exp::ClusterNodeReport& n : loc.nodes)
@@ -125,16 +90,32 @@ int main(int argc, char** argv) {
                    exp::fmt_ms(n.busy_ms, 1)});
   std::printf("%s\n", nodes.to_string().c_str());
 
-  write_json(out, policies, results);
-  std::printf("wrote %s\n", out.c_str());
-
+  const exp::ClusterScenarioResult& worst_fit = outcomes[0].r;
   const bool locality_wins =
-      results[2].cold_startup_p50_ms <= results[0].cold_startup_p50_ms &&
-      results[2].remote_bytes_fetched < results[0].remote_bytes_fetched;
+      loc.cold_startup_p50_ms <= worst_fit.cold_startup_p50_ms &&
+      loc.remote_bytes_fetched < worst_fit.remote_bytes_fetched;
   std::printf(
-      "\nShape: locality-aware placement re-lands restores on nodes that\n"
+      "Shape: locality-aware placement re-lands restores on nodes that\n"
       "already hold the images, so cold starts read the page-cached copy\n"
-      "instead of pulling the registry — %s here vs worst-fit.\n",
+      "instead of pulling the registry — %s here vs worst-fit.\n\n",
       locality_wins ? "confirmed" : "NOT confirmed");
-  return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const bench::Flags flags =
+      bench::parse_flags(argc, argv, "cluster_placement", bench::kSeed,
+                         "BENCH_cluster_placement.json");
+  std::printf("== Placement policies, 4-node cluster, remote snapshot "
+              "registry (Section 7) ==\n\n");
+  return bench::run<faas::PlacementPolicy, exp::ClusterScenarioResult>(
+      flags, {.cells = kPolicies,
+              .run_cell = [&](faas::PlacementPolicy policy) {
+                return run_policy(policy, flags.seed);
+              },
+              .array = "policies",
+              .row = json_row,
+              .report = report,
+              .threaded = false});
 }

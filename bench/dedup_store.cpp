@@ -10,10 +10,10 @@
 //                    shared runtime base); the target function's first fetch
 //                    ships only its app-specific delta.
 //
-// `--check` is the regression gate: it runs the sweep at 1 and 4 engine
-// threads, requires bit-identical JSON, and enforces
+// `--check` gates (the protocol is bench/gate.hpp's):
 //   * template-clone p95 < 30% of first-restore p95
 //   * cross-function delta bytes < 50% of the full page payload
+#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -23,9 +23,9 @@
 #include "criu/page_store.hpp"
 #include "criu/restore.hpp"
 #include "exp/calibration.hpp"
-#include "exp/parallel_runner.hpp"
 #include "exp/report.hpp"
 #include "faas/builder.hpp"
+#include "gate.hpp"
 #include "stats/descriptive.hpp"
 
 using namespace prebake;
@@ -44,8 +44,6 @@ constexpr Cell kCells[] = {
 };
 
 struct CellResult {
-  const char* mode = "";
-  int replicas = 0;
   double first_restore_ms = 0.0;  // full restore (fetch + template freeze)
   double clone_p50_ms = 0.0;      // COW clones, replicas 2..N
   double clone_p95_ms = 0.0;
@@ -98,8 +96,6 @@ CellResult run_cell(const Cell& cell) {
   kernel.fs().drop_caches();
 
   CellResult out;
-  out.mode = cell.mode;
-  out.replicas = cell.replicas;
   out.payload_bytes = target.stats.payload_bytes;
   const std::uint64_t clones_before = store.stats().template_clones;
   for (int i = 0; i < cell.replicas; ++i) {
@@ -124,139 +120,69 @@ CellResult run_cell(const Cell& cell) {
   return out;
 }
 
-std::vector<CellResult> run_sweep(int threads) {
-  const exp::ParallelRunner runner{threads};
-  std::vector<CellResult> results{std::size(kCells)};
-  runner.for_each(std::size(kCells),
-                  [&](std::size_t i) { results[i] = run_cell(kCells[i]); });
-  return results;
+using Outcome = bench::Outcome<Cell, CellResult>;
+
+void json_row(const Outcome& o, bench::Row& row) {
+  row.add("mode", "\"%s\"", o.cell.mode)
+      .add("replicas", "%d", o.cell.replicas)
+      .add("first_restore_ms", "%.3f", o.r.first_restore_ms)
+      .add("clone_p50_ms", "%.3f", o.r.clone_p50_ms)
+      .add("clone_p95_ms", "%.3f", o.r.clone_p95_ms)
+      .add("delta_bytes", "%" PRIu64, o.r.delta_bytes)
+      .add("payload_bytes", "%" PRIu64, o.r.payload_bytes)
+      .add("hit_pages", "%" PRIu64, o.r.hit_pages)
+      .add("remote_bytes", "%" PRIu64, o.r.remote_bytes)
+      .add("template_clones", "%" PRIu64, o.r.template_clones);
 }
 
-std::string to_json(const std::vector<CellResult>& results) {
-  std::string out = "{\n  \"cells\": [\n";
-  char buf[512];
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const CellResult& r = results[i];
-    std::snprintf(
-        buf, sizeof buf,
-        "    {\"mode\": \"%s\", \"replicas\": %d, "
-        "\"first_restore_ms\": %.3f, \"clone_p50_ms\": %.3f, "
-        "\"clone_p95_ms\": %.3f, \"delta_bytes\": %llu, "
-        "\"payload_bytes\": %llu, \"hit_pages\": %llu, "
-        "\"remote_bytes\": %llu, \"template_clones\": %llu}%s\n",
-        r.mode, r.replicas, r.first_restore_ms, r.clone_p50_ms, r.clone_p95_ms,
-        static_cast<unsigned long long>(r.delta_bytes),
-        static_cast<unsigned long long>(r.payload_bytes),
-        static_cast<unsigned long long>(r.hit_pages),
-        static_cast<unsigned long long>(r.remote_bytes),
-        static_cast<unsigned long long>(r.template_clones),
-        i + 1 < results.size() ? "," : "");
-    out += buf;
-  }
-  out += "  ]\n}\n";
-  return out;
-}
-
-void write_file(const std::string& path, const std::string& body) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "dedup_store: cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::fputs(body.c_str(), f);
-  std::fclose(f);
-}
-
-void print_table(const std::vector<CellResult>& results) {
+void report(const std::vector<Outcome>& outcomes) {
   exp::TextTable table{{"Mode", "Replicas", "First restore", "Clone p50",
                         "Clone p95", "Delta", "Payload", "Registry"}};
-  for (const CellResult& r : results)
-    table.add_row({r.mode, std::to_string(r.replicas),
+  for (const auto& [cell, r] : outcomes)
+    table.add_row({cell.mode, std::to_string(cell.replicas),
                    exp::fmt_ms(r.first_restore_ms),
                    r.clone_ms.empty() ? "-" : exp::fmt_ms(r.clone_p50_ms),
                    r.clone_ms.empty() ? "-" : exp::fmt_ms(r.clone_p95_ms),
                    exp::fmt_mib(r.delta_bytes), exp::fmt_mib(r.payload_bytes),
                    exp::fmt_mib(r.remote_bytes)});
   std::printf("%s\n", table.to_string().c_str());
+  std::printf(
+      "Shape: replica 1 pays the fetch + template freeze; replicas 2..N\n"
+      "are COW clones of the frozen template, and a node that already holds\n"
+      "another function's runtime base fetches only the app delta.\n\n");
 }
 
-// The two perf gates; returns the number of violations (0 = pass).
-int check_gates(const std::vector<CellResult>& results) {
-  int failures = 0;
+void check_gates(const std::vector<Outcome>& outcomes, bench::Gates& g) {
   std::vector<double> firsts;
   std::vector<double> clones;
-  for (const CellResult& r : results) {
+  for (const auto& [cell, r] : outcomes) {
     firsts.push_back(r.first_restore_ms);
     clones.insert(clones.end(), r.clone_ms.begin(), r.clone_ms.end());
-    if (std::strcmp(r.mode, "cross-function") == 0 &&
-        r.delta_bytes * 2 >= r.payload_bytes) {
-      std::printf("FAIL: cross-function delta %llu B >= 50%% of payload "
-                  "%llu B (replicas=%d)\n",
-                  static_cast<unsigned long long>(r.delta_bytes),
-                  static_cast<unsigned long long>(r.payload_bytes),
-                  r.replicas);
-      ++failures;
-    }
+    if (std::strcmp(cell.mode, "cross-function") == 0)
+      g.check(r.delta_bytes * 2 < r.payload_bytes,
+              "cross-function delta %" PRIu64 " B >= 50%% of payload %" PRIu64
+              " B (replicas=%d)",
+              r.delta_bytes, r.payload_bytes, cell.replicas);
   }
   const double first_p95 = stats::percentile(firsts, 0.95);
   const double clone_p95 = stats::percentile(clones, 0.95);
-  if (clone_p95 >= 0.30 * first_p95) {
-    std::printf("FAIL: template-clone p95 %.3f ms >= 30%% of first-restore "
-                "p95 %.3f ms\n",
-                clone_p95, first_p95);
-    ++failures;
-  } else {
+  if (g.check(clone_p95 < 0.30 * first_p95,
+              "template-clone p95 %.3f ms >= 30%% of first-restore p95 "
+              "%.3f ms",
+              clone_p95, first_p95))
     std::printf("clone p95 %.3f ms vs first-restore p95 %.3f ms (%.1f%%)\n",
                 clone_p95, first_p95, 100.0 * clone_p95 / first_p95);
-  }
-  return failures;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out = "BENCH_dedup_store.json";
-  bool check = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out = argv[++i];
-    } else if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else {
-      std::fprintf(stderr, "usage: dedup_store [--out FILE] [--check]\n");
-      return 2;
-    }
-  }
-
+  const bench::Flags flags =
+      bench::parse_flags(argc, argv, "dedup_store", bench::kCheck,
+                         "BENCH_dedup_store.json");
   std::printf("== Content-addressed page store: delta transfer + COW "
               "template restores (DESIGN.md §6f) ==\n\n");
-
-  if (check) {
-    // Determinism gate: the sweep must serialize bit-identically whether the
-    // cells run inline or across four engine threads.
-    const std::vector<CellResult> serial = run_sweep(1);
-    const std::vector<CellResult> parallel = run_sweep(4);
-    const std::string a = to_json(serial);
-    const std::string b = to_json(parallel);
-    print_table(serial);
-    int failures = check_gates(serial);
-    if (a != b) {
-      std::printf("FAIL: sweep is not bit-identical across engine threads\n");
-      ++failures;
-    }
-    write_file(out, a);
-    std::printf("wrote %s\n", out.c_str());
-    std::printf("%s\n", failures == 0 ? "CHECK PASSED" : "CHECK FAILED");
-    return failures == 0 ? 0 : 1;
-  }
-
-  const std::vector<CellResult> results = run_sweep(0);
-  print_table(results);
-  write_file(out, to_json(results));
-  std::printf("wrote %s\n", out.c_str());
-  std::printf(
-      "\nShape: replica 1 pays the fetch + template freeze; replicas 2..N\n"
-      "are COW clones of the frozen template, and a node that already holds\n"
-      "another function's runtime base fetches only the app delta.\n");
-  return 0;
+  return bench::run<Cell, CellResult>(
+      flags, {.cells = kCells, .run_cell = run_cell, .row = json_row,
+              .report = report, .gates = check_gates});
 }

@@ -11,16 +11,15 @@
 //   --check  gates: (1) a warm drain loses zero requests in every cell;
 //            (2) the read-heavy cell's blackout stays under 30% of the cold
 //            re-restore baseline; (3) blackout is monotone non-decreasing
-//            in the dirty-page rate at the full round budget; (4) the sweep
-//            serializes bit-identically at 1 and 4 engine threads.
+//            in the dirty-page rate at the full round budget.
+#include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "exp/migration.hpp"
-#include "exp/parallel_runner.hpp"
 #include "exp/report.hpp"
+#include "gate.hpp"
 
 using namespace prebake;
 
@@ -38,185 +37,99 @@ constexpr Cell kCells[] = {
     {0, 1}, {0, 3}, {64, 1}, {64, 3}, {256, 1}, {256, 3},
 };
 
-struct CellResult {
-  Cell cell{};
-  exp::MigrationScenarioResult r;
-};
-
-CellResult run_cell(const Cell& cell, std::uint64_t seed) {
+exp::MigrationScenarioResult run_cell(const Cell& cell, std::uint64_t seed) {
   exp::MigrationScenarioConfig cfg;
   cfg.seed = seed;
   cfg.request_dirty_pages = cell.dirty_pages;
   cfg.migration.max_rounds = cell.rounds;
-  CellResult out;
-  out.cell = cell;
-  out.r = exp::run_migration_scenario(cfg);
-  return out;
+  return exp::run_migration_scenario(cfg);
 }
 
-std::vector<CellResult> run_sweep(int threads, std::uint64_t seed) {
-  const exp::ParallelRunner runner{threads};
-  std::vector<CellResult> results{std::size(kCells)};
-  runner.for_each(std::size(kCells), [&](std::size_t i) {
-    results[i] = run_cell(kCells[i], seed);
-  });
-  return results;
+using Outcome = bench::Outcome<Cell, exp::MigrationScenarioResult>;
+
+void json_row(const Outcome& o, bench::Row& row) {
+  const exp::MigrationScenarioResult& r = o.r;
+  row.add("dirty_pages", "%" PRIu64, o.cell.dirty_pages)
+      .add("max_rounds", "%d", o.cell.rounds)
+      .add("requests", "%" PRIu64, r.requests)
+      .add("answered", "%" PRIu64, r.answered)
+      .add("rejected", "%" PRIu64, r.rejected)
+      .add("migrations_completed", "%" PRIu64, r.migrations_completed)
+      .add("migrations_aborted", "%" PRIu64, r.migrations_aborted)
+      .add("rounds", "%" PRIu64, r.migration_rounds)
+      .add("precopy_bytes", "%" PRIu64, r.migration_precopy_bytes)
+      .add("final_bytes", "%" PRIu64, r.migration_final_bytes)
+      .add("downtime_ms", "%.3f", r.downtime_ms)
+      .add("cold_restore_ms", "%.3f", r.cold_restore_ms)
+      .add("warmth_migrated", "%" PRIu64, r.warmth_replicas_migrated)
+      .add("warmth_destroyed", "%" PRIu64, r.warmth_replicas_destroyed)
+      .add("total_p95_ms", "%.3f", r.total_p95_ms);
 }
 
-std::string to_json(const std::vector<CellResult>& results) {
-  std::string out = "{\n  \"cells\": [\n";
-  char buf[640];
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const exp::MigrationScenarioResult& r = results[i].r;
-    std::snprintf(
-        buf, sizeof buf,
-        "    {\"dirty_pages\": %llu, \"max_rounds\": %d, "
-        "\"requests\": %llu, \"answered\": %llu, \"rejected\": %llu, "
-        "\"migrations_completed\": %llu, \"migrations_aborted\": %llu, "
-        "\"rounds\": %llu, \"precopy_bytes\": %llu, \"final_bytes\": %llu, "
-        "\"downtime_ms\": %.3f, \"cold_restore_ms\": %.3f, "
-        "\"warmth_migrated\": %llu, \"warmth_destroyed\": %llu, "
-        "\"total_p95_ms\": %.3f}%s\n",
-        static_cast<unsigned long long>(results[i].cell.dirty_pages),
-        results[i].cell.rounds, static_cast<unsigned long long>(r.requests),
-        static_cast<unsigned long long>(r.answered),
-        static_cast<unsigned long long>(r.rejected),
-        static_cast<unsigned long long>(r.migrations_completed),
-        static_cast<unsigned long long>(r.migrations_aborted),
-        static_cast<unsigned long long>(r.migration_rounds),
-        static_cast<unsigned long long>(r.migration_precopy_bytes),
-        static_cast<unsigned long long>(r.migration_final_bytes),
-        r.downtime_ms, r.cold_restore_ms,
-        static_cast<unsigned long long>(r.warmth_replicas_migrated),
-        static_cast<unsigned long long>(r.warmth_replicas_destroyed),
-        r.total_p95_ms, i + 1 < std::size(kCells) ? "," : "");
-    out += buf;
-  }
-  out += "  ]\n}\n";
-  return out;
-}
-
-void print_table(const std::vector<CellResult>& results) {
+void report(const std::vector<Outcome>& outcomes) {
   exp::TextTable table{{"Dirty/req", "Rounds", "Requests", "Lost", "Migr",
                         "Pre-copy", "Final", "Downtime", "Cold restore"}};
-  for (const CellResult& c : results) {
+  for (const auto& [cell, r] : outcomes) {
     char final_kib[32];
     std::snprintf(final_kib, sizeof final_kib, "%.1f KiB",
-                  static_cast<double>(c.r.migration_final_bytes) / 1024.0);
+                  static_cast<double>(r.migration_final_bytes) / 1024.0);
     table.add_row(
-        {std::to_string(c.cell.dirty_pages), std::to_string(c.cell.rounds),
-         std::to_string(c.r.requests),
-         std::to_string(c.r.requests - c.r.answered),
-         std::to_string(c.r.migrations_completed),
-         exp::fmt_mib(c.r.migration_precopy_bytes), final_kib,
-         exp::fmt_ms(c.r.downtime_ms), exp::fmt_ms(c.r.cold_restore_ms)});
+        {std::to_string(cell.dirty_pages), std::to_string(cell.rounds),
+         std::to_string(r.requests), std::to_string(r.requests - r.answered),
+         std::to_string(r.migrations_completed),
+         exp::fmt_mib(r.migration_precopy_bytes), final_kib,
+         exp::fmt_ms(r.downtime_ms), exp::fmt_ms(r.cold_restore_ms)});
   }
   std::printf("%s\n", table.to_string().c_str());
+  std::printf(
+      "Shape: a read-heavy replica converges in one pre-dump round and\n"
+      "cuts over in a blackout far below the cold re-restore; heavier\n"
+      "dirtying grows the final delta until extra rounds stop paying.\n\n");
 }
 
-void write_file(const std::string& path, const std::string& body) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "migration: cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::fwrite(body.data(), 1, body.size(), f);
-  std::fclose(f);
-}
-
-int check_gates(const std::vector<CellResult>& results) {
-  int failures = 0;
-  for (const CellResult& c : results) {
-    if (c.r.answered != c.r.requests || c.r.rejected != 0) {
-      std::printf(
-          "FAIL: dirty=%llu rounds=%d lost %llu of %llu requests "
-          "(%llu rejected) under a warm drain\n",
-          static_cast<unsigned long long>(c.cell.dirty_pages), c.cell.rounds,
-          static_cast<unsigned long long>(c.r.requests - c.r.answered),
-          static_cast<unsigned long long>(c.r.requests),
-          static_cast<unsigned long long>(c.r.rejected));
-      ++failures;
-    }
-    if (c.r.migrations_completed == 0) {
-      std::printf("FAIL: dirty=%llu rounds=%d completed no migration\n",
-                  static_cast<unsigned long long>(c.cell.dirty_pages),
-                  c.cell.rounds);
-      ++failures;
-    }
+void check_gates(const std::vector<Outcome>& outcomes, bench::Gates& g) {
+  for (const auto& [cell, r] : outcomes) {
+    g.check(r.answered == r.requests && r.rejected == 0,
+            "dirty=%" PRIu64 " rounds=%d lost %" PRIu64 " of %" PRIu64
+            " requests (%" PRIu64 " rejected) under a warm drain",
+            cell.dirty_pages, cell.rounds, r.requests - r.answered,
+            r.requests, r.rejected);
+    g.check(r.migrations_completed > 0,
+            "dirty=%" PRIu64 " rounds=%d completed no migration",
+            cell.dirty_pages, cell.rounds);
   }
   // Read-heavy break-even: the blackout of a converged live migration must
   // be well under the cold re-restore a destroyed replica would pay.
-  const CellResult& read_heavy = results[1];  // dirty=0, rounds=3
-  if (read_heavy.r.downtime_ms >= 0.3 * read_heavy.r.cold_restore_ms) {
-    std::printf("FAIL: read-heavy downtime %.3f ms >= 30%% of cold restore "
-                "%.3f ms\n",
-                read_heavy.r.downtime_ms, read_heavy.r.cold_restore_ms);
-    ++failures;
-  }
+  const auto& read_heavy = outcomes[1].r;  // dirty=0, rounds=3
+  g.check(read_heavy.downtime_ms < 0.3 * read_heavy.cold_restore_ms,
+          "read-heavy downtime %.3f ms >= 30%% of cold restore %.3f ms",
+          read_heavy.downtime_ms, read_heavy.cold_restore_ms);
   // Monotonicity at the full round budget: more dirtying per request can
   // only grow the final delta (1% slack for request-timing jitter).
-  for (std::size_t i = 3; i < std::size(kCells); i += 2) {
-    const double prev = results[i - 2].r.downtime_ms;
-    const double cur = results[i].r.downtime_ms;
-    if (cur < prev * 0.99) {
-      std::printf("FAIL: downtime not monotone in dirty rate: "
-                  "dirty=%llu -> %.3f ms, dirty=%llu -> %.3f ms\n",
-                  static_cast<unsigned long long>(kCells[i - 2].dirty_pages),
-                  prev,
-                  static_cast<unsigned long long>(kCells[i].dirty_pages), cur);
-      ++failures;
-    }
+  for (std::size_t i = 3; i < outcomes.size(); i += 2) {
+    const double prev = outcomes[i - 2].r.downtime_ms;
+    const double cur = outcomes[i].r.downtime_ms;
+    g.check(cur >= prev * 0.99,
+            "downtime not monotone in dirty rate: dirty=%" PRIu64
+            " -> %.3f ms, dirty=%" PRIu64 " -> %.3f ms",
+            outcomes[i - 2].cell.dirty_pages, prev,
+            outcomes[i].cell.dirty_pages, cur);
   }
-  return failures;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out = "BENCH_migration.json";
-  std::uint64_t seed = 42;
-  bool check = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out = argv[++i];
-    } else if (std::strcmp(argv[i], "--seed") == 0 && i + 1 < argc) {
-      seed = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: migration [--out FILE] [--seed N] [--check]\n");
-      return 2;
-    }
-  }
-
+  const bench::Flags flags =
+      bench::parse_flags(argc, argv, "migration", bench::kCheck | bench::kSeed,
+                         "BENCH_migration.json");
   std::printf(
       "== Live replica migration via pre-dump chains (DESIGN.md §6i) ==\n\n");
-
-  if (check) {
-    const std::vector<CellResult> serial = run_sweep(1, seed);
-    const std::vector<CellResult> parallel = run_sweep(4, seed);
-    const std::string a = to_json(serial);
-    const std::string b = to_json(parallel);
-    print_table(serial);
-    int failures = check_gates(serial);
-    if (a != b) {
-      std::printf("FAIL: sweep is not bit-identical across engine threads\n");
-      ++failures;
-    }
-    write_file(out, a);
-    std::printf("wrote %s\n", out.c_str());
-    std::printf("%s\n", failures == 0 ? "CHECK PASSED" : "CHECK FAILED");
-    return failures == 0 ? 0 : 1;
-  }
-
-  const std::vector<CellResult> results = run_sweep(0, seed);
-  print_table(results);
-  write_file(out, to_json(results));
-  std::printf("wrote %s\n", out.c_str());
-  std::printf(
-      "\nShape: a read-heavy replica converges in one pre-dump round and\n"
-      "cuts over in a blackout far below the cold re-restore; heavier\n"
-      "dirtying grows the final delta until extra rounds stop paying.\n");
-  return 0;
+  return bench::run<Cell, exp::MigrationScenarioResult>(
+      flags, {.cells = kCells,
+              .run_cell =
+                  [&](const Cell& c) { return run_cell(c, flags.seed); },
+              .row = json_row,
+              .report = report,
+              .gates = check_gates});
 }

@@ -11,21 +11,21 @@
 //   cowclone  — prebaked + content-addressed page store (COW template
 //               restores, DESIGN.md §6f)
 //
-// `--check` is the regression gate: it re-runs the sweep at 1 and 4 engine
-// threads, requires bit-identical JSON, asserts the policy ordering
+// `--check` is the regression gate: it asserts the policy ordering
 // (warmpool <= keepalive <= prebaked on cold-start rate; keepalive pays more
 // byte-seconds than prebaked; prebaked colds are faster than Vanilla colds),
 // and then drives the 10^7-request / 2000-function scenario to completion,
 // asserting the engine's peak footprint stays O(active replicas + functions)
 // rather than O(trace length).
+#include <cinttypes>
 #include <cstdio>
-#include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "exp/parallel_runner.hpp"
 #include "exp/report.hpp"
 #include "exp/scale.hpp"
+#include "gate.hpp"
 
 using namespace prebake;
 
@@ -47,11 +47,6 @@ constexpr Cell kCells[] = {
     {exp::KeepAlivePolicy::kCowClone, 1.0},
 };
 
-struct CellResult {
-  Cell cell;
-  exp::ScaleScenarioResult r;
-};
-
 exp::ScaleScenarioConfig study_config(const Cell& cell) {
   exp::ScaleScenarioConfig cfg;
   cfg.functions = 1000;
@@ -66,58 +61,33 @@ exp::ScaleScenarioConfig study_config(const Cell& cell) {
   return cfg;
 }
 
-std::vector<CellResult> run_sweep(int threads) {
-  const exp::ParallelRunner runner{threads};
-  std::vector<CellResult> results{std::size(kCells)};
-  runner.for_each(std::size(kCells), [&](std::size_t i) {
-    exp::ScaleScenarioConfig cfg = study_config(kCells[i]);
-    results[i] = CellResult{kCells[i], exp::run_scale_scenario(cfg)};
-  });
-  return results;
+exp::ScaleScenarioResult run_cell(const Cell& cell) {
+  return exp::run_scale_scenario(study_config(cell));
 }
 
-std::string to_json(const std::vector<CellResult>& results) {
-  std::string out = "{\n  \"cells\": [\n";
-  char buf[768];
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const Cell& c = results[i].cell;
-    const exp::ScaleScenarioResult& r = results[i].r;
-    std::snprintf(
-        buf, sizeof buf,
-        "    {\"policy\": \"%s\", \"zipf_s\": %.1f, \"requests\": %llu, "
-        "\"functions\": %u, \"responses_ok\": %llu, \"rejected\": %llu, "
-        "\"fallback_served\": %llu, \"cold_starts\": %llu, "
-        "\"cold_start_rate\": %.6f, \"total_p50_ms\": %.3f, "
-        "\"total_p99_ms\": %.3f, \"total_p999_ms\": %.3f, "
-        "\"cold_startup_p50_ms\": %.3f, \"cold_startup_p99_ms\": %.3f, "
-        "\"mem_byte_seconds\": %.6e, \"replicas_started\": %llu, "
-        "\"peak_replicas\": %zu, \"peak_pending_events\": %zu, "
-        "\"makespan_s\": %.3f}%s\n",
-        exp::keep_alive_policy_name(c.policy), c.zipf_s,
-        static_cast<unsigned long long>(r.requests), r.functions_deployed,
-        static_cast<unsigned long long>(r.responses_ok),
-        static_cast<unsigned long long>(r.rejected),
-        static_cast<unsigned long long>(r.fallback_served),
-        static_cast<unsigned long long>(r.cold_starts), r.cold_start_rate,
-        r.total_p50_ms, r.total_p99_ms, r.total_p999_ms, r.cold_startup_p50_ms,
-        r.cold_startup_p99_ms, r.mem_byte_seconds,
-        static_cast<unsigned long long>(r.replicas_started), r.peak_replicas,
-        r.peak_pending_events, r.makespan_s,
-        i + 1 < results.size() ? "," : "");
-    out += buf;
-  }
-  out += "  ]\n}\n";
-  return out;
-}
+using Outcome = bench::Outcome<Cell, exp::ScaleScenarioResult>;
 
-void write_file(const std::string& path, const std::string& body) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "policy_study: cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::fputs(body.c_str(), f);
-  std::fclose(f);
+void json_row(const Outcome& o, bench::Row& row) {
+  const exp::ScaleScenarioResult& r = o.r;
+  row.add("policy", "\"%s\"", exp::keep_alive_policy_name(o.cell.policy))
+      .add("zipf_s", "%.1f", o.cell.zipf_s)
+      .add("requests", "%" PRIu64, r.requests)
+      .add("functions", "%u", r.functions_deployed)
+      .add("responses_ok", "%" PRIu64, r.responses_ok)
+      .add("rejected", "%" PRIu64, r.rejected)
+      .add("fallback_served", "%" PRIu64, r.fallback_served)
+      .add("cold_starts", "%" PRIu64, r.cold_starts)
+      .add("cold_start_rate", "%.6f", r.cold_start_rate)
+      .add("total_p50_ms", "%.3f", r.total_p50_ms)
+      .add("total_p99_ms", "%.3f", r.total_p99_ms)
+      .add("total_p999_ms", "%.3f", r.total_p999_ms)
+      .add("cold_startup_p50_ms", "%.3f", r.cold_startup_p50_ms)
+      .add("cold_startup_p99_ms", "%.3f", r.cold_startup_p99_ms)
+      .add("mem_byte_seconds", "%.6e", r.mem_byte_seconds)
+      .add("replicas_started", "%" PRIu64, r.replicas_started)
+      .add("peak_replicas", "%zu", r.peak_replicas)
+      .add("peak_pending_events", "%zu", r.peak_pending_events)
+      .add("makespan_s", "%.3f", r.makespan_s);
 }
 
 std::string fmt_gb_h(double byte_seconds) {
@@ -126,91 +96,71 @@ std::string fmt_gb_h(double byte_seconds) {
   return buf;
 }
 
-void print_table(const std::vector<CellResult>& results) {
+void report(const std::vector<Outcome>& outcomes) {
   exp::TextTable table{{"Policy", "Zipf s", "Cold rate", "p50", "p99",
                         "p99.9", "Cold p50", "Memory"}};
-  for (const CellResult& cr : results) {
-    const exp::ScaleScenarioResult& r = cr.r;
+  for (const auto& [cell, r] : outcomes) {
     char rate[32];
     std::snprintf(rate, sizeof rate, "%.2f%%", 100.0 * r.cold_start_rate);
     char s[16];
-    std::snprintf(s, sizeof s, "%.1f", cr.cell.zipf_s);
-    table.add_row({exp::keep_alive_policy_name(cr.cell.policy), s, rate,
+    std::snprintf(s, sizeof s, "%.1f", cell.zipf_s);
+    table.add_row({exp::keep_alive_policy_name(cell.policy), s, rate,
                    exp::fmt_ms(r.total_p50_ms), exp::fmt_ms(r.total_p99_ms),
                    exp::fmt_ms(r.total_p999_ms),
                    exp::fmt_ms(r.cold_startup_p50_ms),
                    fmt_gb_h(r.mem_byte_seconds)});
   }
   std::printf("%s\n", table.to_string().c_str());
+  std::printf(
+      "Shape: prebaking trades a higher cold-start *frequency* (short\n"
+      "reclaim) for a ~8x cheaper cold start and a fraction of the\n"
+      "keep-alive policies' memory byte-seconds; the COW page store makes\n"
+      "the restore itself cheaper still.\n\n");
 }
 
-const CellResult* find(const std::vector<CellResult>& results,
-                       exp::KeepAlivePolicy policy, double s) {
-  for (const CellResult& cr : results)
-    if (cr.cell.policy == policy && cr.cell.zipf_s == s) return &cr;
-  return nullptr;
+const exp::ScaleScenarioResult& find(const std::vector<Outcome>& outcomes,
+                                     exp::KeepAlivePolicy policy, double s) {
+  for (const auto& [cell, r] : outcomes)
+    if (cell.policy == policy && cell.zipf_s == s) return r;
+  throw std::logic_error{"policy_study: no such cell"};
 }
 
-// Policy-ordering gates per skew value; returns violations (0 = pass).
-int check_gates(const std::vector<CellResult>& results) {
-  int failures = 0;
+// Policy-ordering gates per skew value, then the 10^7-request completion
+// gate: the streaming engine must sustain an order-of-magnitude larger trace
+// with a footprint that tracks the active set, not the trace.
+void check_gates(const std::vector<Outcome>& outcomes, bench::Gates& g) {
   for (double s : {0.6, 1.0}) {
-    const exp::ScaleScenarioResult& pre =
-        find(results, exp::KeepAlivePolicy::kPrebaked, s)->r;
-    const exp::ScaleScenarioResult& keep =
-        find(results, exp::KeepAlivePolicy::kKeepAlive, s)->r;
-    const exp::ScaleScenarioResult& pool =
-        find(results, exp::KeepAlivePolicy::kWarmPool, s)->r;
-    const exp::ScaleScenarioResult& cow =
-        find(results, exp::KeepAlivePolicy::kCowClone, s)->r;
+    const auto& pre = find(outcomes, exp::KeepAlivePolicy::kPrebaked, s);
+    const auto& keep = find(outcomes, exp::KeepAlivePolicy::kKeepAlive, s);
+    const auto& pool = find(outcomes, exp::KeepAlivePolicy::kWarmPool, s);
+    const auto& cow = find(outcomes, exp::KeepAlivePolicy::kCowClone, s);
 
     // Cold-start frequency: the pool never misses, the long keep-alive
     // rarely misses, short-reclaim prebaking misses on every tail gap.
-    if (pool.cold_start_rate > keep.cold_start_rate + 1e-3) {
-      std::printf("FAIL s=%.1f: warmpool cold rate %.4f > keepalive %.4f\n",
-                  s, pool.cold_start_rate, keep.cold_start_rate);
-      ++failures;
-    }
-    if (keep.cold_start_rate > pre.cold_start_rate + 1e-3) {
-      std::printf("FAIL s=%.1f: keepalive cold rate %.4f > prebaked %.4f\n",
-                  s, keep.cold_start_rate, pre.cold_start_rate);
-      ++failures;
-    }
-    if (pre.cold_start_rate < 0.01) {
-      std::printf("FAIL s=%.1f: prebaked cold rate %.4f < 1%% — the regime "
-                  "is not exercising cold starts\n",
-                  s, pre.cold_start_rate);
-      ++failures;
-    }
+    g.check(pool.cold_start_rate <= keep.cold_start_rate + 1e-3,
+            "s=%.1f: warmpool cold rate %.4f > keepalive %.4f", s,
+            pool.cold_start_rate, keep.cold_start_rate);
+    g.check(keep.cold_start_rate <= pre.cold_start_rate + 1e-3,
+            "s=%.1f: keepalive cold rate %.4f > prebaked %.4f", s,
+            keep.cold_start_rate, pre.cold_start_rate);
+    g.check(pre.cold_start_rate >= 0.01,
+            "s=%.1f: prebaked cold rate %.4f < 1%% — the regime is not "
+            "exercising cold starts",
+            s, pre.cold_start_rate);
     // The provider's bill: keeping replicas warm is what costs memory.
-    if (keep.mem_byte_seconds <= pre.mem_byte_seconds) {
-      std::printf("FAIL s=%.1f: keepalive byte-seconds %.3e <= prebaked "
-                  "%.3e\n",
-                  s, keep.mem_byte_seconds, pre.mem_byte_seconds);
-      ++failures;
-    }
+    g.check(keep.mem_byte_seconds > pre.mem_byte_seconds,
+            "s=%.1f: keepalive byte-seconds %.3e <= prebaked %.3e", s,
+            keep.mem_byte_seconds, pre.mem_byte_seconds);
     // The paper's claim: a restored cold start beats a Vanilla cold start.
-    if (pre.cold_startup_p50_ms >= keep.cold_startup_p50_ms) {
-      std::printf("FAIL s=%.1f: prebaked cold p50 %.2f ms >= Vanilla cold "
-                  "p50 %.2f ms\n",
-                  s, pre.cold_startup_p50_ms, keep.cold_startup_p50_ms);
-      ++failures;
-    }
+    g.check(pre.cold_startup_p50_ms < keep.cold_startup_p50_ms,
+            "s=%.1f: prebaked cold p50 %.2f ms >= Vanilla cold p50 %.2f ms",
+            s, pre.cold_startup_p50_ms, keep.cold_startup_p50_ms);
     // §6f: COW template clones undercut even the snapshot restore.
-    if (cow.cold_startup_p50_ms > pre.cold_startup_p50_ms) {
-      std::printf("FAIL s=%.1f: cowclone cold p50 %.2f ms > prebaked "
-                  "%.2f ms\n",
-                  s, cow.cold_startup_p50_ms, pre.cold_startup_p50_ms);
-      ++failures;
-    }
+    g.check(cow.cold_startup_p50_ms <= pre.cold_startup_p50_ms,
+            "s=%.1f: cowclone cold p50 %.2f ms > prebaked %.2f ms", s,
+            cow.cold_startup_p50_ms, pre.cold_startup_p50_ms);
   }
-  return failures;
-}
 
-// The 10^7-request completion gate: the streaming engine must sustain an
-// order-of-magnitude larger trace with a footprint that tracks the active
-// set, not the trace.
-int check_scale10m() {
   exp::ScaleScenarioConfig cfg;
   cfg.functions = 2000;
   cfg.requests = 10'000'000;
@@ -218,84 +168,36 @@ int check_scale10m() {
   cfg.zipf_s = 1.0;
   cfg.policy = exp::KeepAlivePolicy::kPrebaked;
   cfg.seed = 42;
-  std::printf("scale gate: %u functions, %llu requests...\n", cfg.functions,
-              static_cast<unsigned long long>(cfg.requests));
+  std::printf("scale gate: %u functions, %" PRIu64 " requests...\n",
+              cfg.functions, cfg.requests);
   const exp::ScaleScenarioResult r = exp::run_scale_scenario(cfg);
-
-  int failures = 0;
-  if (r.responses_ok + r.rejected != cfg.requests) {
-    std::printf("FAIL: %llu ok + %llu rejected != %llu issued\n",
-                static_cast<unsigned long long>(r.responses_ok),
-                static_cast<unsigned long long>(r.rejected),
-                static_cast<unsigned long long>(cfg.requests));
-    ++failures;
-  }
+  g.check(r.responses_ok + r.rejected == cfg.requests,
+          "%" PRIu64 " ok + %" PRIu64 " rejected != %" PRIu64 " issued",
+          r.responses_ok, r.rejected, cfg.requests);
   // O(active replicas + functions), not O(requests): the pending-event and
   // replica peaks must be explained by the active set with a constant
   // factor, five orders of magnitude below the trace length.
   const std::size_t budget = 64 * (r.peak_replicas + cfg.functions);
-  if (r.peak_pending_events > budget) {
-    std::printf("FAIL: peak pending events %zu > 64*(replicas+functions) "
-                "= %zu\n",
-                r.peak_pending_events, budget);
-    ++failures;
-  }
-  if (r.peak_replicas > 2 * cfg.functions) {
-    std::printf("FAIL: peak replicas %zu > 2*functions\n", r.peak_replicas);
-    ++failures;
-  }
-  std::printf("scale gate: ok=%llu cold_rate=%.4f peak_events=%zu "
-              "peak_replicas=%zu\n",
-              static_cast<unsigned long long>(r.responses_ok),
-              r.cold_start_rate, r.peak_pending_events, r.peak_replicas);
-  return failures;
+  g.check(r.peak_pending_events <= budget,
+          "peak pending events %zu > 64*(replicas+functions) = %zu",
+          r.peak_pending_events, budget);
+  g.check(r.peak_replicas <= 2 * cfg.functions,
+          "peak replicas %zu > 2*functions", r.peak_replicas);
+  std::printf("scale gate: ok=%" PRIu64
+              " cold_rate=%.4f peak_events=%zu peak_replicas=%zu\n",
+              r.responses_ok, r.cold_start_rate, r.peak_pending_events,
+              r.peak_replicas);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out = "BENCH_policy_study.json";
-  bool check = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out = argv[++i];
-    } else if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else {
-      std::fprintf(stderr, "usage: policy_study [--out FILE] [--check]\n");
-      return 2;
-    }
-  }
-
+  const bench::Flags flags =
+      bench::parse_flags(argc, argv, "policy_study", bench::kCheck,
+                         "BENCH_policy_study.json");
   std::printf("== Keep-alive policy study: 10^6-request Zipf fleet "
               "(EXPERIMENTS.md) ==\n\n");
-
-  if (check) {
-    const std::vector<CellResult> serial = run_sweep(1);
-    const std::vector<CellResult> parallel = run_sweep(4);
-    const std::string a = to_json(serial);
-    const std::string b = to_json(parallel);
-    print_table(serial);
-    int failures = check_gates(serial);
-    if (a != b) {
-      std::printf("FAIL: sweep is not bit-identical across engine threads\n");
-      ++failures;
-    }
-    failures += check_scale10m();
-    write_file(out, a);
-    std::printf("wrote %s\n", out.c_str());
-    std::printf("%s\n", failures == 0 ? "CHECK PASSED" : "CHECK FAILED");
-    return failures == 0 ? 0 : 1;
-  }
-
-  const std::vector<CellResult> results = run_sweep(0);
-  print_table(results);
-  write_file(out, to_json(results));
-  std::printf("wrote %s\n", out.c_str());
-  std::printf(
-      "\nShape: prebaking trades a higher cold-start *frequency* (short\n"
-      "reclaim) for a ~8x cheaper cold start and a fraction of the\n"
-      "keep-alive policies' memory byte-seconds; the COW page store makes\n"
-      "the restore itself cheaper still.\n");
-  return 0;
+  return bench::run<Cell, exp::ScaleScenarioResult>(
+      flags, {.cells = kCells, .run_cell = run_cell, .row = json_row,
+              .report = report, .gates = check_gates});
 }

@@ -10,12 +10,12 @@
 //
 // Each cell reports wall-clock restores/sec plus deterministic fields
 // (simulated per-restore duration, pages, and a fingerprint of the restored
-// process state). `--check` is the regression gate: it runs the sweep at 1
-// and 4 engine threads, requires the deterministic fields bit-identical, and
-// enforces >= 5x restores/sec over the recorded pre-PR baseline (decode-copy
-// era, captured on the reference container; see EXPERIMENTS.md).
+// process state). `--check` is the regression gate: it enforces >= 5x
+// restores/sec over the recorded per-page-replay baseline (decode-copy era,
+// captured on the reference container; see EXPERIMENTS.md).
 #include <algorithm>
 #include <chrono>
+#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -25,8 +25,8 @@
 #include "criu/page_store.hpp"
 #include "criu/restore.hpp"
 #include "exp/calibration.hpp"
-#include "exp/parallel_runner.hpp"
 #include "exp/report.hpp"
+#include "gate.hpp"
 
 using namespace prebake;
 
@@ -35,19 +35,16 @@ namespace {
 struct Cell {
   const char* mode;  // "full-eager" | "lazy" | "cow-clone"
   int heap_mib;
+  // Restores/sec of the per-page replay loop and decode-copy image path
+  // that DESIGN.md §6g replaced, recorded on the reference container with
+  // this same bench — the denominator of the --check speedup gate.
+  double baseline_per_sec;
 };
 
 constexpr Cell kCells[] = {
-    {"full-eager", 16}, {"full-eager", 64}, {"lazy", 16},
-    {"lazy", 64},       {"cow-clone", 16},  {"cow-clone", 64},
-};
-
-// Pre-PR restores/sec on the reference container (per-page replay loop,
-// decode-copy image path), recorded with this same bench built against the
-// pre-PR tree — the denominators of the --check speedup gate. Keyed in
-// kCells order.
-constexpr double kBaselineRestoresPerSec[] = {
-    64694.0, 18855.0, 60934.0, 17305.0, 35591.0, 9309.0,
+    {"full-eager", 16, 64694.0}, {"full-eager", 64, 18855.0},
+    {"lazy", 16, 60934.0},       {"lazy", 64, 17305.0},
+    {"cow-clone", 16, 35591.0},  {"cow-clone", 64, 9309.0},
 };
 constexpr double kMinSpeedup = 5.0;
 
@@ -61,8 +58,6 @@ constexpr int kReps = 200;
 constexpr int kTimingPasses = 3;
 
 struct CellResult {
-  const char* mode = "";
-  int heap_mib = 0;
   double restores_per_sec = 0.0;  // wall-clock; excluded from determinism
   double sim_ms = 0.0;            // simulated duration of a steady-state restore
   std::uint64_t pages_restored = 0;
@@ -135,8 +130,6 @@ CellResult run_cell(const Cell& cell) {
   }
 
   CellResult out;
-  out.mode = cell.mode;
-  out.heap_mib = cell.heap_mib;
 
   criu::Restorer restorer{kernel};
   // Untimed warm-up restore: first restore pays the simulated cold reads and
@@ -177,140 +170,61 @@ CellResult run_cell(const Cell& cell) {
   return out;
 }
 
-std::vector<CellResult> run_sweep(int threads) {
-  const exp::ParallelRunner runner{threads};
-  std::vector<CellResult> results{std::size(kCells)};
-  runner.for_each(std::size(kCells),
-                  [&](std::size_t i) { results[i] = run_cell(kCells[i]); });
-  return results;
+using Outcome = bench::Outcome<Cell, CellResult>;
+
+void json_row(const Outcome& o, bench::Row& row) {
+  row.add("mode", "\"%s\"", o.cell.mode)
+      .add("heap_mib", "%d", o.cell.heap_mib)
+      .add("restores_per_sec", "%.1f", o.r.restores_per_sec)
+      .host()
+      .add("sim_ms", "%.6f", o.r.sim_ms)
+      .add("pages_restored", "%" PRIu64, o.r.pages_restored)
+      .add("state_fingerprint", "\"%016" PRIx64 "\"", o.r.state_fingerprint);
 }
 
-// `deterministic` drops the wall-clock field so the 1-vs-4-thread compare
-// only sees simulation-derived values.
-std::string to_json(const std::vector<CellResult>& results, bool deterministic) {
-  std::string out = "{\n  \"cells\": [\n";
-  char buf[512];
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const CellResult& r = results[i];
-    if (deterministic) {
-      std::snprintf(buf, sizeof buf,
-                    "    {\"mode\": \"%s\", \"heap_mib\": %d, "
-                    "\"sim_ms\": %.6f, \"pages_restored\": %llu, "
-                    "\"state_fingerprint\": \"%016llx\"}%s\n",
-                    r.mode, r.heap_mib, r.sim_ms,
-                    static_cast<unsigned long long>(r.pages_restored),
-                    static_cast<unsigned long long>(r.state_fingerprint),
-                    i + 1 < results.size() ? "," : "");
-      out += buf;
-    } else {
-      std::snprintf(buf, sizeof buf,
-                    "    {\"mode\": \"%s\", \"heap_mib\": %d, "
-                    "\"restores_per_sec\": %.1f, \"sim_ms\": %.6f, "
-                    "\"pages_restored\": %llu, "
-                    "\"state_fingerprint\": \"%016llx\"}%s\n",
-                    r.mode, r.heap_mib, r.restores_per_sec, r.sim_ms,
-                    static_cast<unsigned long long>(r.pages_restored),
-                    static_cast<unsigned long long>(r.state_fingerprint),
-                    i + 1 < results.size() ? "," : "");
-      out += buf;
-    }
-  }
-  out += "  ]\n}\n";
-  return out;
-}
-
-void write_file(const std::string& path, const std::string& body) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "restore_throughput: cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::fputs(body.c_str(), f);
-  std::fclose(f);
-}
-
-void print_table(const std::vector<CellResult>& results) {
+void report(const std::vector<Outcome>& outcomes) {
   exp::TextTable table{{"Mode", "Heap", "Restores/s", "Sim per restore",
                         "Pages", "Baseline", "Speedup"}};
   char buf[64];
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const CellResult& r = results[i];
+  for (const auto& [cell, r] : outcomes) {
     std::snprintf(buf, sizeof buf, "%.0f", r.restores_per_sec);
     std::string rps = buf;
-    std::snprintf(buf, sizeof buf, "%.0f", kBaselineRestoresPerSec[i]);
+    std::snprintf(buf, sizeof buf, "%.0f", cell.baseline_per_sec);
     std::string base = buf;
     std::snprintf(buf, sizeof buf, "%.1fx",
-                  r.restores_per_sec / kBaselineRestoresPerSec[i]);
-    table.add_row({r.mode, std::to_string(r.heap_mib) + " MiB", rps,
+                  r.restores_per_sec / cell.baseline_per_sec);
+    table.add_row({cell.mode, std::to_string(cell.heap_mib) + " MiB", rps,
                    exp::fmt_ms(r.sim_ms), std::to_string(r.pages_restored),
                    base, buf});
   }
   std::printf("%s\n", table.to_string().c_str());
+  std::printf(
+      "Shape: restores/sec is host wall-clock (the harness's own speed);\n"
+      "sim_ms is the simulated restore latency, which this bench must never\n"
+      "change. The --check gate compares against the recorded\n"
+      "baseline of the per-page replay loop.\n\n");
 }
 
-int check_gates(const std::vector<CellResult>& results) {
-  int failures = 0;
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const CellResult& r = results[i];
-    const double speedup = r.restores_per_sec / kBaselineRestoresPerSec[i];
-    if (speedup < kMinSpeedup) {
-      std::printf("FAIL: %s/%d MiB %.0f restores/s is %.1fx the pre-PR "
-                  "baseline %.0f (need >= %.1fx)\n",
-                  r.mode, r.heap_mib, r.restores_per_sec, speedup,
-                  kBaselineRestoresPerSec[i], kMinSpeedup);
-      ++failures;
-    }
+void check_gates(const std::vector<Outcome>& outcomes, bench::Gates& g) {
+  for (const auto& [cell, r] : outcomes) {
+    const double speedup = r.restores_per_sec / cell.baseline_per_sec;
+    g.check(speedup >= kMinSpeedup,
+            "%s/%d MiB %.0f restores/s is %.1fx the per-page-replay "
+            "baseline %.0f (need >= %.1fx)",
+            cell.mode, cell.heap_mib, r.restores_per_sec, speedup,
+            cell.baseline_per_sec, kMinSpeedup);
   }
-  return failures;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out = "BENCH_restore_throughput.json";
-  bool check = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out = argv[++i];
-    } else if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else {
-      std::fprintf(stderr, "usage: restore_throughput [--out FILE] [--check]\n");
-      return 2;
-    }
-  }
-
+  const bench::Flags flags =
+      bench::parse_flags(argc, argv, "restore_throughput", bench::kCheck,
+                         "BENCH_restore_throughput.json");
   std::printf("== Restore throughput: zero-copy image path + batched page "
               "replay (DESIGN.md §6g) ==\n\n");
-
-  if (check) {
-    const std::vector<CellResult> serial = run_sweep(1);
-    const std::vector<CellResult> parallel = run_sweep(4);
-    print_table(serial);
-    int failures = check_gates(serial);
-    // Restored process state (and every other simulation-derived field) must
-    // be bit-identical whether the cells ran inline or across four engine
-    // threads; wall-clock throughput is exempt.
-    const std::string a = to_json(serial, /*deterministic=*/true);
-    const std::string b = to_json(parallel, /*deterministic=*/true);
-    if (a != b) {
-      std::printf("FAIL: sweep is not bit-identical across engine threads\n");
-      ++failures;
-    }
-    write_file(out, to_json(serial, /*deterministic=*/false));
-    std::printf("wrote %s\n", out.c_str());
-    std::printf("%s\n", failures == 0 ? "CHECK PASSED" : "CHECK FAILED");
-    return failures == 0 ? 0 : 1;
-  }
-
-  const std::vector<CellResult> results = run_sweep(0);
-  print_table(results);
-  write_file(out, to_json(results, /*deterministic=*/false));
-  std::printf("wrote %s\n", out.c_str());
-  std::printf(
-      "\nShape: restores/sec is host wall-clock (the harness's own speed);\n"
-      "sim_ms is the simulated restore latency, which this bench must never\n"
-      "change. The --check gate compares against the recorded pre-PR\n"
-      "baseline of the per-page replay loop.\n");
-  return 0;
+  return bench::run<Cell, CellResult>(
+      flags, {.cells = kCells, .run_cell = run_cell, .row = json_row,
+              .report = report, .gates = check_gates});
 }

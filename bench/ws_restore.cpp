@@ -18,9 +18,10 @@
 // deterministic. `--check` gates (per heap size):
 //   * ws first-invoke stall   <= 30% of pure-lazy's
 //   * ws restore latency      <= 2x pure-lazy's
-//   * JSON bit-identical between 1 and 4 engine threads
+#include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -28,8 +29,8 @@
 #include "criu/restore.hpp"
 #include "criu/ws.hpp"
 #include "exp/calibration.hpp"
-#include "exp/parallel_runner.hpp"
 #include "exp/report.hpp"
+#include "gate.hpp"
 
 using namespace prebake;
 
@@ -53,8 +54,6 @@ constexpr Cell kCells[] = {
 };
 
 struct CellResult {
-  const char* mode = "";
-  int heap_mib = 0;
   double restore_ms = 0.0;       // simulated restore-to-ready latency
   double first_invoke_ms = 0.0;  // simulated demand-fault stall of invoke #1
   std::uint64_t ws_prefetched = 0;
@@ -125,8 +124,6 @@ CellResult run_cell(const Cell& cell) {
   }
 
   CellResult out;
-  out.mode = cell.mode;
-  out.heap_mib = cell.heap_mib;
 
   const sim::TimePoint t0 = sim.now();
   const criu::RestoreResult r = criu::Restorer{kernel}.restore(dump.images, opts);
@@ -141,140 +138,70 @@ CellResult run_cell(const Cell& cell) {
   return out;
 }
 
-std::vector<CellResult> run_sweep(int threads) {
-  const exp::ParallelRunner runner{threads};
-  std::vector<CellResult> results{std::size(kCells)};
-  runner.for_each(std::size(kCells),
-                  [&](std::size_t i) { results[i] = run_cell(kCells[i]); });
-  return results;
+using Outcome = bench::Outcome<Cell, CellResult>;
+
+void json_row(const Outcome& o, bench::Row& row) {
+  row.add("mode", "\"%s\"", o.cell.mode)
+      .add("heap_mib", "%d", o.cell.heap_mib)
+      .add("restore_ms", "%.6f", o.r.restore_ms)
+      .add("first_invoke_ms", "%.6f", o.r.first_invoke_ms)
+      .add("ws_prefetched", "%" PRIu64, o.r.ws_prefetched)
+      .add("pending_after_restore", "%" PRIu64, o.r.pending_after_restore);
 }
 
-std::string to_json(const std::vector<CellResult>& results) {
-  std::string out = "{\n  \"ws_pages\": " + std::to_string(kWsPages) +
-                    ",\n  \"cells\": [\n";
-  char buf[512];
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const CellResult& r = results[i];
-    std::snprintf(buf, sizeof buf,
-                  "    {\"mode\": \"%s\", \"heap_mib\": %d, "
-                  "\"restore_ms\": %.6f, \"first_invoke_ms\": %.6f, "
-                  "\"ws_prefetched\": %llu, \"pending_after_restore\": "
-                  "%llu}%s\n",
-                  r.mode, r.heap_mib, r.restore_ms, r.first_invoke_ms,
-                  static_cast<unsigned long long>(r.ws_prefetched),
-                  static_cast<unsigned long long>(r.pending_after_restore),
-                  i + 1 < results.size() ? "," : "");
-    out += buf;
-  }
-  out += "  ]\n}\n";
-  return out;
-}
-
-void write_file(const std::string& path, const std::string& body) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "ws_restore: cannot write %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::fputs(body.c_str(), f);
-  std::fclose(f);
-}
-
-void print_table(const std::vector<CellResult>& results) {
+void report(const std::vector<Outcome>& outcomes) {
   exp::TextTable table{{"Mode", "Heap", "Restore", "First-invoke stall",
                         "Restore + stall", "WS prefetched", "Lazy pending"}};
-  for (const CellResult& r : results)
-    table.add_row({r.mode, std::to_string(r.heap_mib) + " MiB",
+  for (const auto& [cell, r] : outcomes)
+    table.add_row({cell.mode, std::to_string(cell.heap_mib) + " MiB",
                    exp::fmt_ms(r.restore_ms), exp::fmt_ms(r.first_invoke_ms),
                    exp::fmt_ms(r.restore_ms + r.first_invoke_ms),
                    std::to_string(r.ws_prefetched),
                    std::to_string(r.pending_after_restore)});
   std::printf("%s\n", table.to_string().c_str());
+  std::printf(
+      "Shape: pure-lazy defers everything and pays one uffd round trip\n"
+      "per first-invocation touch; the ws restore bulk-maps the recorded\n"
+      "working set for a fraction of that stall while staying within 2x of\n"
+      "the pure-lazy restore latency (the cold tail stays lazy for life).\n\n");
 }
 
-const CellResult* find(const std::vector<CellResult>& results,
-                       const char* mode, int heap_mib) {
-  for (const CellResult& r : results)
-    if (std::strcmp(r.mode, mode) == 0 && r.heap_mib == heap_mib) return &r;
-  return nullptr;
+const CellResult& find(const std::vector<Outcome>& outcomes, const char* mode,
+                       int heap_mib) {
+  for (const auto& [cell, r] : outcomes)
+    if (std::strcmp(cell.mode, mode) == 0 && cell.heap_mib == heap_mib)
+      return r;
+  throw std::logic_error{"ws_restore: no such cell"};
 }
 
-int check_gates(const std::vector<CellResult>& results) {
-  int failures = 0;
+void check_gates(const std::vector<Outcome>& outcomes, bench::Gates& g) {
   for (const int heap : {16, 64}) {
-    const CellResult* lazy = find(results, "pure-lazy", heap);
-    const CellResult* ws = find(results, "ws", heap);
-    if (lazy == nullptr || ws == nullptr) {
-      std::printf("FAIL: missing pure-lazy/ws cell for %d MiB\n", heap);
-      ++failures;
-      continue;
-    }
-    if (ws->first_invoke_ms > 0.30 * lazy->first_invoke_ms) {
-      std::printf("FAIL: %d MiB ws first-invoke stall %.3f ms exceeds 30%% "
-                  "of pure-lazy's %.3f ms\n",
-                  heap, ws->first_invoke_ms, lazy->first_invoke_ms);
-      ++failures;
-    }
-    if (ws->restore_ms > 2.0 * lazy->restore_ms) {
-      std::printf("FAIL: %d MiB ws restore %.3f ms exceeds 2x pure-lazy's "
-                  "%.3f ms\n",
-                  heap, ws->restore_ms, lazy->restore_ms);
-      ++failures;
-    }
-    if (ws->ws_prefetched != kWsPages) {
-      std::printf("FAIL: %d MiB ws cell prefetched %llu pages, recorded %llu\n",
-                  heap, static_cast<unsigned long long>(ws->ws_prefetched),
-                  static_cast<unsigned long long>(kWsPages));
-      ++failures;
-    }
+    const CellResult& lazy = find(outcomes, "pure-lazy", heap);
+    const CellResult& ws = find(outcomes, "ws", heap);
+    g.check(ws.first_invoke_ms <= 0.30 * lazy.first_invoke_ms,
+            "%d MiB ws first-invoke stall %.3f ms exceeds 30%% of "
+            "pure-lazy's %.3f ms",
+            heap, ws.first_invoke_ms, lazy.first_invoke_ms);
+    g.check(ws.restore_ms <= 2.0 * lazy.restore_ms,
+            "%d MiB ws restore %.3f ms exceeds 2x pure-lazy's %.3f ms", heap,
+            ws.restore_ms, lazy.restore_ms);
+    g.check(ws.ws_prefetched == kWsPages,
+            "%d MiB ws cell prefetched %" PRIu64 " pages, recorded %" PRIu64,
+            heap, ws.ws_prefetched, kWsPages);
   }
-  return failures;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out = "BENCH_ws_restore.json";
-  bool check = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-      out = argv[++i];
-    } else if (std::strcmp(argv[i], "--check") == 0) {
-      check = true;
-    } else {
-      std::fprintf(stderr, "usage: ws_restore [--out FILE] [--check]\n");
-      return 2;
-    }
-  }
-
+  const bench::Flags flags =
+      bench::parse_flags(argc, argv, "ws_restore", bench::kCheck,
+                         "BENCH_ws_restore.json");
   std::printf("== Working-set restore: record-and-prefetch vs eager and "
               "pure-lazy (DESIGN.md §6j) ==\n\n");
-
-  if (check) {
-    const std::vector<CellResult> serial = run_sweep(1);
-    const std::vector<CellResult> parallel = run_sweep(4);
-    print_table(serial);
-    int failures = check_gates(serial);
-    const std::string a = to_json(serial);
-    const std::string b = to_json(parallel);
-    if (a != b) {
-      std::printf("FAIL: sweep is not bit-identical across engine threads\n");
-      ++failures;
-    }
-    write_file(out, a);
-    std::printf("wrote %s\n", out.c_str());
-    std::printf("%s\n", failures == 0 ? "CHECK PASSED" : "CHECK FAILED");
-    return failures == 0 ? 0 : 1;
-  }
-
-  const std::vector<CellResult> results = run_sweep(0);
-  print_table(results);
-  write_file(out, to_json(results));
-  std::printf("wrote %s\n", out.c_str());
-  std::printf(
-      "\nShape: pure-lazy defers everything and pays one uffd round trip\n"
-      "per first-invocation touch; the ws restore bulk-maps the recorded\n"
-      "working set for a fraction of that stall while staying within 2x of\n"
-      "the pure-lazy restore latency (the cold tail stays lazy for life).\n");
-  return 0;
+  bench::Row header;
+  header.add("ws_pages", "%" PRIu64, kWsPages);
+  return bench::run<Cell, CellResult>(
+      flags, {.cells = kCells, .run_cell = run_cell, .header = header,
+              .row = json_row, .report = report, .gates = check_gates});
 }

@@ -142,10 +142,15 @@ void charge_image_reads(os::Kernel& k, const ImageDir& images,
       path.assign(fs_prefix).append(name);
       // A persisted copy shorter than the record's nominal size is the scar
       // of a truncated write: unrecoverable from this replica, heals via
-      // quarantine + re-bake.
-      // A missing file throws here exactly as the reads below would.
-      if (const std::uint64_t size = k.fs().size_of(path);
-          size < f.nominal_size) {
+      // quarantine + re-bake. The size lookup is also the existence check.
+      std::uint64_t size = 0;
+      try {
+        size = k.fs().size_of(path);
+      } catch (const std::invalid_argument&) {
+        throw RestoreError{RestoreErrorKind::kMissingImage,
+                           "restore: missing image file " + path, chain_depth};
+      }
+      if (size < f.nominal_size) {
         std::string what = "restore: truncated image file " + path + " (" +
                            std::to_string(size) + " < " +
                            std::to_string(f.nominal_size) + " bytes)";
@@ -504,10 +509,14 @@ RestoreResult Restorer::run(const RestorePlan& plan,
         result.bytes_read += ws_bytes;
         if (!final_link.fs_prefix.empty()) {
           const std::string path = final_link.fs_prefix + kWsImageName;
+          const bool on_fs = k.fs().exists(path);
+          if (opts.remote_fetch && !on_fs)
+            throw RestoreError{RestoreErrorKind::kMissingImage,
+                               "restore: missing image file " + path};
           if (opts.remote_fetch && !k.fs().is_cached(path))
             fetch_from_registry(k, path, ws_bytes, opts, result);
-          if (opts.in_memory) k.fs().warm(path);
-          if (k.fs().exists(path)) {
+          if (opts.in_memory && on_fs) k.fs().warm(path);
+          if (on_fs) {
             try {
               k.fs().charge_read(path, ws_bytes, opts.io_contention);
             } catch (const os::IoError& e) {
@@ -711,21 +720,55 @@ RestoreResult Restorer::run(const RestorePlan& plan,
   obs::Span pagemap_span = step("pagemap-replay");
   obs::Span& walk_span = replay ? pagemap_span : base ? delta_span : span;
   // Compare `count` installed pages from `first` on against the image
-  // digests at payload index `at`.
+  // digests at payload index `at`, skipping the pages `newer` marks.
   const auto verify = [&](os::VmaId vma, std::uint64_t first,
                           std::span<const std::uint64_t> digests,
-                          std::uint64_t at, std::uint64_t count) {
-    const std::uint64_t from = std::min<std::uint64_t>(at, digests.size());
-    const std::span<const std::uint64_t> want =
-        digests.subspan(from, std::min(count, digests.size() - from));
-    if (k.verify_run(pid, vma, first, want) < count) {
-      walk_span.attr("error", "digest-mismatch");
-      throw RestoreError{RestoreErrorKind::kCorruptImage,
-                         "restore: page digest mismatch"};
-    }
+                          std::uint64_t at, std::uint64_t count,
+                          const os::PageBitmap* newer) {
+    const auto check = [&](std::uint64_t page, std::uint64_t pages) {
+      const std::uint64_t from =
+          std::min<std::uint64_t>(at + (page - first), digests.size());
+      const std::span<const std::uint64_t> want =
+          digests.subspan(from, std::min(pages, digests.size() - from));
+      if (k.verify_run(pid, vma, page, want) < pages) {
+        walk_span.attr("error", "digest-mismatch");
+        throw RestoreError{RestoreErrorKind::kCorruptImage,
+                           "restore: page digest mismatch"};
+      }
+    };
+    if (newer == nullptr) return check(first, count);
+    std::uint64_t pos = first;
+    newer->for_each_set_run(first, count,
+                            [&](std::uint64_t run, std::uint64_t pages) {
+                              if (run > pos) check(pos, run - pos);
+                              pos = run + pages;
+                            });
+    if (pos < first + count) check(pos, first + count - pos);
   };
   const std::size_t first_walked =
       clone && opts.verify_pages ? 0 : first_replayed;
+  // A page a newer link re-dumped holds that link's content, so each page is
+  // verified only against the newest walked link that covers it:
+  // newer_pages[i] marks, per image vma, the pages links after i cover.
+  std::vector<std::map<os::VmaId, os::PageBitmap>> newer_pages;
+  if (opts.verify_pages && n - first_walked > 1) {
+    newer_pages.resize(n);
+    for (std::size_t i = n - 1; i > first_walked; --i) {
+      std::map<os::VmaId, os::PageBitmap>& covered = newer_pages[i - 1];
+      covered = newer_pages[i];
+      const ImageDir::Decoded& ddec =
+          i + 1 == n ? dec : plan.links[i].images->decoded();
+      for (const PagemapEntry& e : ddec.pagemap) {
+        os::PageBitmap& bits = covered[e.vma];
+        if (bits.empty())
+          for (const VmaEntry& v : dec.vmas)
+            if (v.id == e.vma)
+              bits.assign((v.length + os::kPageSize - 1) / os::kPageSize,
+                          false);
+        bits.set_range(e.first_page, e.pages);
+      }
+    }
+  }
   std::vector<LazyRun> lazy_pending;
   std::uint64_t lazy_pending_pages = 0;
   const std::uint64_t pages_before = result.pages_restored;
@@ -757,6 +800,11 @@ RestoreResult Restorer::run(const RestorePlan& plan,
         throw RestoreError{RestoreErrorKind::kCorruptImage,
                            "restore: pagemap references unknown vma", depth};
       const os::VmaId vma = *actual;
+      const os::PageBitmap* newer = nullptr;
+      if (!newer_pages.empty())
+        if (const auto it = newer_pages[i].find(e.vma);
+            it != newer_pages[i].end())
+          newer = &it->second;
       if (e.zero) {
         // Zero run: map fresh zero pages; no payload, no digests.
         if (!clone) {
@@ -826,7 +874,7 @@ RestoreResult Restorer::run(const RestorePlan& plan,
                   result.ws_prefetched_pages += count;
                   if (opts.verify_pages)
                     verify(vma, first, digests,
-                           cursor + (first - e.first_page), count);
+                           cursor + (first - e.first_page), count, newer);
                   pos = first + count;
                 });
           if (pos < end) {
@@ -836,7 +884,7 @@ RestoreResult Restorer::run(const RestorePlan& plan,
         }
       }
       if (opts.verify_pages && eager > 0)
-        verify(vma, e.first_page, digests, cursor, eager);
+        verify(vma, e.first_page, digests, cursor, eager, newer);
       cursor += e.pages;
     }
   }

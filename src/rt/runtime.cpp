@@ -76,7 +76,7 @@ void ManagedRuntime::bootstrap() {
   // JVM init: heap reservation, GC/compiler service threads, core classes.
   // The post-bootstrap base state is a function of the *runtime*, not the
   // function — every replica of every function shares these page contents,
-  // which is what makes content-addressed snapshot dedup (criu/dedup.hpp)
+  // which is what makes content-addressed page storage (criu/page_store.hpp)
   // effective across functions.
   constexpr std::uint64_t kRuntimeBaseSeed = 0x9E57'AB1E;
   k.sim().advance(costs_.bootstrap * noise());

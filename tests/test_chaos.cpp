@@ -263,6 +263,30 @@ TEST_F(ChaosStartup, NonTransientFaultSkipsRetries) {
   EXPECT_EQ(rep.breakdown.restore_attempts, 1u);  // no futile retries
 }
 
+TEST_F(ChaosStartup, ImageFileMissingFromDiskFailsTypedAndFallsBack) {
+  const core::BakedSnapshot snap = bake(exp::noop_spec());
+  // The image directory lists mm.img, but its persisted copy is gone.
+  kernel_.fs().remove(snap.fs_prefix + "mm.img");
+
+  core::PrebakedStartOptions opts;
+  opts.restore.fs_prefix = snap.fs_prefix;
+  try {
+    criu::Restorer{kernel_}.restore(snap.images, opts.restore);
+    FAIL() << "restore read an image file that is not on disk";
+  } catch (const criu::RestoreError& e) {
+    EXPECT_EQ(e.kind(), criu::RestoreErrorKind::kMissingImage);
+    EXPECT_EQ(e.chain_link(), -1);  // a single-image restore
+  }
+
+  // Not transient: the start skips futile retries and falls back.
+  opts.policy.max_attempts = 10;
+  opts.policy.fallback_to_vanilla = true;
+  core::ReplicaProcess rep =
+      startup_.start_prebaked(baked_spec_, snap.images, opts, sim::Rng{4});
+  EXPECT_TRUE(rep.breakdown.fell_back_to_vanilla);
+  EXPECT_EQ(rep.breakdown.restore_attempts, 1u);
+}
+
 // --- Platform: fail_node retry accounting (satellite) ----------------------
 
 TEST(ChaosPlatform, RequeuedRequestCountsRetryNotQueueWait) {

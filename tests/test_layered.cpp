@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -215,6 +216,54 @@ TEST_F(LayerRestoreTest, TemplatePathBitIdenticalToFullReplay) {
   const RestoreResult again = Restorer{kernel_}.restore_layered(keyed, opts);
   EXPECT_TRUE(again.template_clone);
   EXPECT_EQ(fingerprint_contents(again.pid), want);
+}
+
+TEST_F(LayerRestoreTest, VerifyPagesPassesOnFullChainReplay) {
+  const core::BakedSnapshot base = bake_base();
+  const core::BakedSnapshot delta = bake(exp::markdown_spec(), &base, 3);
+  const LayerLink links[] = {{&base.images, base.fs_prefix, ""},
+                             {&delta.images, delta.fs_prefix, ""}};
+  // The delta re-dumps pages the base also holds (the pid-seeded stack), so
+  // each page is verified once, against the newest link that covers it.
+  std::set<std::pair<os::VmaId, std::uint64_t>> in_delta;
+  std::uint64_t verified_pages = 0;
+  for (const PagemapEntry& e : delta.images.decoded().pagemap)
+    for (std::uint64_t p = 0; p < e.pages; ++p) {
+      in_delta.insert({e.vma, e.first_page + p});
+      if (!e.zero) ++verified_pages;
+    }
+  for (const PagemapEntry& e : base.images.decoded().pagemap)
+    for (std::uint64_t p = 0; p < e.pages; ++p)
+      if (!e.zero && !in_delta.contains({e.vma, e.first_page + p}))
+        ++verified_pages;
+
+  Restorer{kernel_}.restore_layered(links, {});  // warm the image cache
+  const RestoreResult plain = Restorer{kernel_}.restore_layered(links, {});
+  RestoreOptions opts;
+  opts.verify_pages = true;
+  RestoreResult checked;
+  ASSERT_NO_THROW(checked = Restorer{kernel_}.restore_layered(links, opts));
+  const sim::Duration per_page = exp::testbed_costs().memcpy_cost(os::kPageSize);
+  EXPECT_EQ((checked.duration - plain.duration).nanos_count(),
+            (per_page * static_cast<double>(verified_pages)).nanos_count());
+}
+
+TEST_F(LayerRestoreTest, VerifyPagesPassesOnFunctionTemplateClone) {
+  const core::BakedSnapshot base = bake_base();
+  const core::BakedSnapshot delta = bake(exp::markdown_spec(), &base, 3);
+  PageStore store;
+  RestoreOptions opts;
+  opts.page_store = &store;
+  opts.store_key = delta.fs_prefix;
+  opts.verify_pages = true;
+  const LayerLink keyed[] = {{&base.images, base.fs_prefix, base.fs_prefix},
+                             {&delta.images, delta.fs_prefix, delta.fs_prefix}};
+  const RestoreResult first = Restorer{kernel_}.restore_layered(keyed, opts);
+  EXPECT_TRUE(first.base_template_materialized);
+  // The second restore clones the function template and walks every link.
+  RestoreResult again;
+  EXPECT_NO_THROW(again = Restorer{kernel_}.restore_layered(keyed, opts));
+  EXPECT_TRUE(again.template_clone);
 }
 
 TEST_F(LayerRestoreTest, SecondFunctionClonesTheWarmBase) {

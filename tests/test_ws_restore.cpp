@@ -223,6 +223,29 @@ TEST_F(WsRestoreTest, DamagedWsImageFallsBackToPureLazyWithTypedWarning) {
   }
 }
 
+TEST_F(WsRestoreTest, WsImageMissingFromRegistryFallsBackUnderRemoteFetch) {
+  // ws-1.img is in the image directory but was never persisted, so a
+  // remote restore cannot fetch it: that is a missing WS image, which
+  // downgrades to pure-lazy rather than failing the restore.
+  DumpResult dump = dump_to(make_target(), "/registry/ws/");
+  WorkingSetImage ws;
+  ws.runs = {WsRun{image_heap_vma(dump), 0, 8}};
+  ws.total_pages = 8;
+  dump.images.put(kWsImageName, encode_ws(ws));
+
+  RestoreOptions opts;
+  opts.fs_prefix = "/registry/ws/";
+  opts.remote_fetch = true;
+  opts.paging = PagingPolicy::ws_prefetch();
+  kernel_.fs().drop_caches();
+  const RestoreResult r = Restorer{kernel_}.restore(dump.images, opts);
+  EXPECT_TRUE(r.ws_fallback);
+  EXPECT_EQ(r.ws_fallback_kind, RestoreErrorKind::kMissingImage);
+  EXPECT_EQ(r.ws_prefetched_pages, 0u);
+  ASSERT_NE(r.lazy_server, nullptr);
+  EXPECT_EQ(r.lazy_server->pending_pages(), 64u);
+}
+
 TEST_F(WsRestoreTest, StoreDeltaShipsOnlyWorkingSetPages) {
   DumpResult dump = dump_to(make_target(96), "/registry/ws/");
   const os::VmaId img_vma = image_heap_vma(dump);

@@ -63,144 +63,81 @@
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
+
+# The bench flags, highest precedence first: flag, bench binary, default
+# output at the repository root. The bench binaries take --out and --check
+# only; without a bench flag the engine harness runs.
+benches=(
+  "--layered layered_store BENCH_layered.json"
+  "--ws ws_restore BENCH_ws_restore.json"
+  "--migration migration BENCH_migration.json"
+  "--policy policy_study BENCH_policy_study.json"
+  "--throughput restore_throughput BENCH_restore_throughput.json"
+  "--dedup dedup_store BENCH_dedup_store.json"
+  "--chaos chaos_restore BENCH_chaos_restore.json"
+)
+
 build_dir="${repo_root}/build"
-mode_args=()
-out="${repo_root}/BENCH_harness.json"
-out_set=0
+picked=${#benches[@]}  # index of the selected bench; none yet
+harness_args=()
+out=""
 check=0
-chaos=0
 trace=0
-dedup=0
-throughput=0
-policy=0
-migration=0
-ws=0
-layered=0
 reps_set=0
 
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --check) check=1; shift ;;
-    --chaos) chaos=1; shift ;;
     --trace) trace=1; shift ;;
-    --dedup) dedup=1; shift ;;
-    --throughput) throughput=1; shift ;;
-    --policy) policy=1; shift ;;
-    --migration) migration=1; shift ;;
-    --ws) ws=1; shift ;;
-    --layered) layered=1; shift ;;
     --build-dir) build_dir="$2"; shift 2 ;;
-    --threads) mode_args+=(--threads "$2"); shift 2 ;;
-    --reps) mode_args+=(--reps "$2"); reps_set=1; shift 2 ;;
-    --out) out="$2"; out_set=1; shift 2 ;;
-    *) echo "run_benches.sh: unknown argument: $1" >&2; exit 2 ;;
+    --threads) harness_args+=(--threads "$2"); shift 2 ;;
+    --reps) harness_args+=(--reps "$2"); reps_set=1; shift 2 ;;
+    --out) out="$2"; shift 2 ;;
+    *)
+      i=0
+      while [[ $i -lt ${#benches[@]} && "${benches[i]%% *}" != "$1" ]]; do
+        i=$((i + 1))
+      done
+      if [[ $i -eq ${#benches[@]} ]]; then
+        echo "run_benches.sh: unknown argument: $1" >&2
+        exit 2
+      fi
+      [[ $i -lt $picked ]] && picked=$i
+      shift
+      ;;
   esac
 done
 
-if [[ "$layered" -eq 1 ]]; then
-  layered_bin="${build_dir}/bench/layered_store"
-  if [[ ! -x "$layered_bin" ]]; then
-    echo "run_benches.sh: ${layered_bin} not found; building..." >&2
-    cmake -B "$build_dir" -S "$repo_root"
-    cmake --build "$build_dir" --target layered_store -j
-  fi
-  [[ "$out_set" -eq 1 ]] || out="${repo_root}/BENCH_layered.json"
-  layered_args=(--out "$out")
-  [[ "$check" -eq 1 ]] && layered_args+=(--check)
-  exec "$layered_bin" "${layered_args[@]}"
-fi
+bench=bench_harness
+default_out=BENCH_harness.json
+[[ "$trace" -eq 1 ]] && default_out=BENCH_trace.json
+[[ $picked -lt ${#benches[@]} ]] &&
+  read -r _ bench default_out <<<"${benches[picked]}"
+out="${out:-${repo_root}/${default_out}}"
 
-if [[ "$ws" -eq 1 ]]; then
-  ws_bin="${build_dir}/bench/ws_restore"
-  if [[ ! -x "$ws_bin" ]]; then
-    echo "run_benches.sh: ${ws_bin} not found; building..." >&2
-    cmake -B "$build_dir" -S "$repo_root"
-    cmake --build "$build_dir" --target ws_restore -j
-  fi
-  [[ "$out_set" -eq 1 ]] || out="${repo_root}/BENCH_ws_restore.json"
-  ws_args=(--out "$out")
-  [[ "$check" -eq 1 ]] && ws_args+=(--check)
-  exec "$ws_bin" "${ws_args[@]}"
-fi
-
-if [[ "$migration" -eq 1 ]]; then
-  migration_bin="${build_dir}/bench/migration"
-  if [[ ! -x "$migration_bin" ]]; then
-    echo "run_benches.sh: ${migration_bin} not found; building..." >&2
-    cmake -B "$build_dir" -S "$repo_root"
-    cmake --build "$build_dir" --target migration -j
-  fi
-  [[ "$out_set" -eq 1 ]] || out="${repo_root}/BENCH_migration.json"
-  migration_args=(--out "$out")
-  [[ "$check" -eq 1 ]] && migration_args+=(--check)
-  exec "$migration_bin" "${migration_args[@]}"
-fi
-
-if [[ "$policy" -eq 1 ]]; then
-  policy_bin="${build_dir}/bench/policy_study"
-  if [[ ! -x "$policy_bin" ]]; then
-    echo "run_benches.sh: ${policy_bin} not found; building..." >&2
-    cmake -B "$build_dir" -S "$repo_root"
-    cmake --build "$build_dir" --target policy_study -j
-  fi
-  [[ "$out_set" -eq 1 ]] || out="${repo_root}/BENCH_policy_study.json"
-  policy_args=(--out "$out")
-  [[ "$check" -eq 1 ]] && policy_args+=(--check)
-  exec "$policy_bin" "${policy_args[@]}"
-fi
-
-if [[ "$throughput" -eq 1 ]]; then
-  tp_bin="${build_dir}/bench/restore_throughput"
-  if [[ ! -x "$tp_bin" ]]; then
-    echo "run_benches.sh: ${tp_bin} not found; building..." >&2
-    cmake -B "$build_dir" -S "$repo_root"
-    cmake --build "$build_dir" --target restore_throughput -j
-  fi
-  [[ "$out_set" -eq 1 ]] || out="${repo_root}/BENCH_restore_throughput.json"
-  tp_args=(--out "$out")
-  [[ "$check" -eq 1 ]] && tp_args+=(--check)
-  exec "$tp_bin" "${tp_args[@]}"
-fi
-
-if [[ "$dedup" -eq 1 ]]; then
-  dedup_bin="${build_dir}/bench/dedup_store"
-  if [[ ! -x "$dedup_bin" ]]; then
-    echo "run_benches.sh: ${dedup_bin} not found; building..." >&2
-    cmake -B "$build_dir" -S "$repo_root"
-    cmake --build "$build_dir" --target dedup_store -j
-  fi
-  [[ "$out_set" -eq 1 ]] || out="${repo_root}/BENCH_dedup_store.json"
-  dedup_args=(--out "$out")
-  [[ "$check" -eq 1 ]] && dedup_args+=(--check)
-  exec "$dedup_bin" "${dedup_args[@]}"
-fi
-
-if [[ "$chaos" -eq 1 ]]; then
-  chaos_bin="${build_dir}/bench/chaos_restore"
-  if [[ ! -x "$chaos_bin" ]]; then
-    echo "run_benches.sh: ${chaos_bin} not found; building..." >&2
-    cmake -B "$build_dir" -S "$repo_root"
-    cmake --build "$build_dir" --target chaos_restore -j
-  fi
-  [[ "$out_set" -eq 1 ]] || out="${repo_root}/BENCH_chaos_restore.json"
-  chaos_args=(--out "$out")
-  [[ "$check" -eq 1 ]] && chaos_args+=(--check)
-  exec "$chaos_bin" "${chaos_args[@]}"
-fi
-
-harness="${build_dir}/bench/bench_harness"
-if [[ ! -x "$harness" ]]; then
-  echo "run_benches.sh: ${harness} not found; building..." >&2
-  cmake -B "$build_dir" -S "$repo_root"
-  cmake --build "$build_dir" --target bench_harness -j
-fi
-
-if [[ "$trace" -eq 1 ]]; then
-  [[ "$out_set" -eq 1 ]] || out="${repo_root}/BENCH_trace.json"
+if [[ "$bench" != bench_harness ]]; then
+  args=(--out "$out")
+  [[ "$check" -eq 1 ]] && args+=(--check)
+elif [[ "$trace" -eq 1 ]]; then
   # A short traced run is enough for the schema smoke: the span *shape* is
   # rep-count independent, only the volume grows.
-  [[ "$reps_set" -eq 1 ]] || mode_args+=(--reps 5)
-  "$harness" --trace "$out" "${mode_args[@]+"${mode_args[@]}"}"
+  [[ "$reps_set" -eq 1 ]] || harness_args+=(--reps 5)
+  args=(--trace "$out" "${harness_args[@]}")
+elif [[ "$check" -eq 1 ]]; then
+  args=(--check "${harness_args[@]+"${harness_args[@]}"}")
+else
+  args=(--out "$out" "${harness_args[@]+"${harness_args[@]}"}")
+fi
+
+binary="${build_dir}/bench/${bench}"
+if [[ ! -x "$binary" ]]; then
+  echo "run_benches.sh: ${binary} not found; building..." >&2
+  cmake -B "$build_dir" -S "$repo_root"
+  cmake --build "$build_dir" --target "$bench" -j
+fi
+
+if [[ "$bench" == bench_harness && "$trace" -eq 1 ]]; then
+  "$binary" "${args[@]}"
   if command -v jq >/dev/null 2>&1; then
     jq -r -f "${repo_root}/tools/trace_schema.jq" "$out"
   else
@@ -208,9 +145,4 @@ if [[ "$trace" -eq 1 ]]; then
   fi
   exit 0
 fi
-
-if [[ "$check" -eq 1 ]]; then
-  exec "$harness" --check "${mode_args[@]+"${mode_args[@]}"}"
-fi
-
-exec "$harness" --out "$out" "${mode_args[@]+"${mode_args[@]}"}"
+exec "$binary" "${args[@]}"
