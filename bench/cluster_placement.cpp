@@ -2,16 +2,16 @@
 //
 // The paper's Section 7 sketches prebaking deployed against a remote
 // snapshot registry: a node's first restore of a function pulls the images
-// over the network; later restores on the same node read the local,
-// page-cached copy. With a bounded per-node image cache the placement
-// policy decides how often that transfer is paid. This bench runs identical
-// mixed Poisson traffic (noop + markdown + image-resizer) over a 4-node
-// cluster with each policy:
+// over the network, the page payload as a delta against the node's page
+// store; later restores on the same node read the local, page-cached copy.
+// The placement policy decides how often, and how much of, that transfer is
+// paid. This bench runs identical mixed Poisson traffic (noop + markdown +
+// image-resizer) over a 4-node cluster with each policy:
 //
 //   worst-fit   — spread by free memory (ignores where images already live)
 //   round-robin — rotate placements across nodes
-//   locality    — prefer nodes whose cache already holds the snapshot
-//                 (Ustiugov et al.'s snapshot-locality observation)
+//   locality    — prefer nodes whose store holds most of the snapshot's
+//                 pages (Ustiugov et al.'s snapshot-locality observation)
 //
 // and reports cold-start latency, registry traffic, and cache behaviour.
 #include <cinttypes>
@@ -79,13 +79,13 @@ void report(const std::vector<Outcome>& outcomes) {
 
   std::printf("Per-node view (locality policy):\n");
   const exp::ClusterScenarioResult& loc = outcomes.back().r;
-  exp::TextTable nodes{{"Node", "Placed", "Hits", "Misses", "Evict",
+  exp::TextTable nodes{{"Node", "Placed", "Hits", "Misses", "Evicted pages",
                         "Registry MiB", "Busy"}};
   for (const exp::ClusterNodeReport& n : loc.nodes)
     nodes.add_row({n.name, std::to_string(n.replicas_placed),
                    std::to_string(n.snapshot_hits),
                    std::to_string(n.snapshot_misses),
-                   std::to_string(n.snapshot_evictions),
+                   std::to_string(n.store_evicted_pages),
                    exp::fmt_mib(n.remote_bytes_fetched),
                    exp::fmt_ms(n.busy_ms, 1)});
   std::printf("%s\n", nodes.to_string().c_str());

@@ -189,27 +189,14 @@ ReplicaProcess StartupService::start_prebaked(const rt::FunctionSpec& spec,
     }
   }
   rep.pid = restored.pid;
-  rep.lazy_server = restored.lazy_server;
   rep.paging_mode = paging.mode;
-  rep.ws_recorder = restored.ws_recorder;
-  rep.ws_prefetched_pages = restored.ws_prefetched_pages;
-  rep.ws_fallback = restored.ws_fallback;
-  rep.ws_fallback_kind = restored.ws_fallback_kind;
-  rep.remote_bytes_fetched = restored.remote_bytes;
-  rep.store_hit_pages = restored.store_hit_pages;
-  rep.store_delta_bytes = restored.store_delta_bytes;
-  rep.template_clone = restored.template_clone;
-  rep.template_materialized = restored.template_materialized;
-  rep.base_template_clone = restored.base_template_clone;
-  rep.base_template_materialized = restored.base_template_materialized;
-  rep.delta_pages_restored = restored.delta_pages_restored;
-  rep.layer_shared_pages = restored.layer_shared_pages;
   if (restored.template_clone) start_span.attr("template_clone", "true");
   if (restored.base_template_clone)
     start_span.attr("base_template_clone", "true");
   if (restored.ws_fallback)
     start_span.attr("ws_fallback",
                     criu::restore_error_name(restored.ws_fallback_kind));
+  rep.restore = std::move(restored);
   const sim::TimePoint t_restored = k.sim().now();
 
   // Learn how warm the image is from its stats entry.

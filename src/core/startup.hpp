@@ -47,37 +47,15 @@ struct ReplicaProcess {
   os::Pid pid = os::kNoPid;
   std::unique_ptr<rt::ManagedRuntime> runtime;
   StartupBreakdown breakdown;
-  // Present iff the replica was restored under a non-eager paging mode: the
-  // uffd server holding its not-yet-faulted pages. The platform pages it in
-  // on first use (all of it for lazy, the demand set for working-set modes).
-  std::shared_ptr<criu::LazyPagesServer> lazy_server;
   // Which paging mode the restore ran under (kEager for vanilla/zygote
   // starts and restore-less paths).
   criu::PagingMode paging_mode = criu::PagingMode::kEager;
-  // Working-set restore accounting (DESIGN.md §6j). The recorder is present
-  // iff this replica is capturing its first invocation's working set; the
-  // platform closes it (criu::finish_ws_recording) after that invocation.
-  std::shared_ptr<criu::WsRecorder> ws_recorder;
-  std::uint64_t ws_prefetched_pages = 0;
-  bool ws_fallback = false;
-  criu::RestoreErrorKind ws_fallback_kind = criu::RestoreErrorKind::kMissingImage;
-  // Bytes the restore pulled from a remote snapshot registry (0 unless
-  // remote_fetch was set and the node-local cache was cold).
-  std::uint64_t remote_bytes_fetched = 0;
-  // Page-store accounting (zero / false unless the restore ran with a
-  // node-local content-addressed store attached — see criu::PageStore).
-  std::uint64_t store_hit_pages = 0;
-  std::uint64_t store_delta_bytes = 0;
-  bool template_clone = false;
-  bool template_materialized = false;
-  // Layered restore accounting (DESIGN.md §6k; zero/false for monolithic
-  // snapshots): whether the replica was built by COW-cloning the node's
-  // pinned base-runtime template, whether this start froze that base
-  // template, and how many pages came from the app delta vs the base.
-  bool base_template_clone = false;
-  bool base_template_materialized = false;
-  std::uint64_t delta_pages_restored = 0;
-  std::uint64_t layer_shared_pages = 0;
+  // The start's restore, as the Restorer returned it: registry and page-store
+  // traffic, template use, the working-set recorder and the uffd server
+  // (lazy_server, present iff a non-eager paging mode left pages unmapped;
+  // the platform pages it in on first use). Default-constructed for vanilla
+  // and zygote starts, which restore nothing.
+  criu::RestoreResult restore;
 };
 
 // How hard to fight for a restore before giving up. The defaults reproduce

@@ -11,13 +11,16 @@
 //   * keep one frozen *template* process per snapshot: the first restore on
 //     a node materializes it, later replicas clone it with COW mappings
 //     (Catalyzer's sandbox-fork), skipping image reads entirely;
-//   * give the scheduler a byte-accurate locality signal (missing unique
-//     bytes) instead of whole-file hit/miss.
+//   * give the scheduler a page-accurate locality signal (missing unique
+//     pages) instead of whole-file hit/miss.
 //
 // Records are refcounted: template registration pins its pages; eviction
 // under a byte budget removes unpinned pages only, LRU first, so pinned
 // pages can exceed the budget while their template lives (they are the
-// template's RSS, resident regardless). Like every other container in the
+// template's RSS, resident regardless). Evicting a page forgets its record
+// only: node-local image files the platform materialized stay in place.
+// Records live in a hash table; no result depends on its iteration order
+// (eviction sorts its victims). Like every other container in the
 // model, mutation is not thread-safe — each WorkerNode owns one store and
 // each simulation runs its scenario single-threaded.
 #pragma once
@@ -26,6 +29,7 @@
 #include <map>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "os/page_source.hpp"
@@ -135,7 +139,7 @@ class PageStore {
 
   void evict_to_fit();
 
-  std::map<std::uint64_t, PageRecord> pages_;  // digest -> record
+  std::unordered_map<std::uint64_t, PageRecord> pages_;  // digest -> record
   std::map<std::string, TemplateInfo> templates_;
   std::uint64_t capacity_ = 0;  // bytes; 0 = unbounded
   std::uint64_t tick_ = 0;

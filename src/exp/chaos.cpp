@@ -21,7 +21,7 @@ ChaosScenarioResult detail::run_chaos_impl(const ChaosScenarioConfig& config,
   faas::PlatformConfig cfg;
   cfg.idle_timeout = config.idle_timeout;
   cfg.remote_registry = config.remote_registry;
-  cfg.node_snapshot_cache_bytes = config.node_snapshot_cache_bytes;
+  cfg.node_page_store_bytes = config.node_page_store_bytes;
   cfg.aggregate_request_log = true;
   cfg.restore_max_attempts = config.restore_max_attempts;
   cfg.restore_retry_backoff = config.restore_retry_backoff;

@@ -21,7 +21,7 @@ struct ChaosScenarioConfig {
   std::uint32_t nodes = 4;
   std::uint32_t cpus_per_node = 2;
   std::uint64_t node_mem_bytes = 8ull << 30;
-  std::uint64_t node_snapshot_cache_bytes = 120ull << 20;
+  std::uint64_t node_page_store_bytes = 120ull << 20;
   faas::PlacementPolicy policy = faas::PlacementPolicy::kSnapshotLocality;
   bool remote_registry = true;
   sim::Duration idle_timeout = sim::Duration::seconds(4);

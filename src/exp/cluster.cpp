@@ -22,7 +22,6 @@ ClusterScenarioResult detail::run_cluster_impl(
   faas::PlatformConfig cfg;
   cfg.idle_timeout = config.idle_timeout;
   cfg.remote_registry = config.remote_registry;
-  cfg.node_snapshot_cache_bytes = config.node_snapshot_cache_bytes;
   cfg.page_store = config.page_store;
   cfg.node_page_store_bytes = config.node_page_store_bytes;
   cfg.aggregate_request_log = true;
@@ -103,15 +102,13 @@ ClusterScenarioResult detail::run_cluster_impl(
     report.replicas_placed = n.stats().replicas_placed;
     report.snapshot_hits = n.stats().snapshot_hits;
     report.snapshot_misses = n.stats().snapshot_misses;
-    report.snapshot_evictions = n.stats().snapshot_evictions;
     report.remote_bytes_fetched = n.stats().remote_bytes_fetched;
-    report.cache_entries = n.cache_entries();
-    report.cache_bytes = n.cache_bytes();
     report.busy_ms = n.stats().busy.to_millis();
     report.store_hit_pages = n.stats().store_hit_pages;
     report.store_delta_bytes = n.stats().store_delta_bytes;
     report.template_clones = n.stats().template_clones;
     report.store_pages = n.store().stored_pages();
+    report.store_evicted_pages = n.store().stats().evicted_pages;
     report.store_templates = n.store().template_count();
     report.migrations_out = n.stats().migrations_out;
     report.migrations_in = n.stats().migrations_in;

@@ -2,7 +2,7 @@
 // on a multi-node platform with a remote snapshot registry (Section 7's
 // "checkpoint/restore as a service"). The knob under study is the placement
 // policy: how often does a restore land on a node that already holds the
-// function's images (local, page-cached reads) versus one that must pull
+// function's pages (local, page-cached reads) versus one that must pull
 // them over the network first?
 #pragma once
 
@@ -19,15 +19,13 @@ struct ClusterScenarioConfig {
   // Cores per node for the WorkerNode timeline; 0 = uncapped.
   std::uint32_t cpus_per_node = 2;
   std::uint64_t node_mem_bytes = 8ull << 30;
-  // Per-node snapshot cache; sized below the three functions' combined
-  // image footprint so placement decides the eviction/refetch rate.
-  std::uint64_t node_snapshot_cache_bytes = 120ull << 20;
   faas::PlacementPolicy policy = faas::PlacementPolicy::kWorstFit;
   bool remote_registry = true;
-  // Content-addressed page store per node (DESIGN.md §6f): delta-aware
-  // registry transfers + COW template restores. Off = legacy file cache.
+  // COW template restores from each node's page store (DESIGN.md §6f).
   bool page_store = false;
-  std::uint64_t node_page_store_bytes = 0;  // 0 = unbounded
+  // Per-node page-store budget (0 = unbounded): below the three functions'
+  // combined image files (138.3 MiB), above their deduplicated pages.
+  std::uint64_t node_page_store_bytes = 120ull << 20;
   faas::StartMode mode = faas::StartMode::kPrebaked;
   // Sparse arrivals against a short idle timeout: pools drain between
   // requests, so cold starts recur and placement decides their cost.
@@ -47,16 +45,14 @@ struct ClusterNodeReport {
   std::uint64_t replicas_placed = 0;
   std::uint64_t snapshot_hits = 0;
   std::uint64_t snapshot_misses = 0;
-  std::uint64_t snapshot_evictions = 0;
   std::uint64_t remote_bytes_fetched = 0;
-  std::size_t cache_entries = 0;
-  std::uint64_t cache_bytes = 0;
   double busy_ms = 0.0;
-  // Page-store accounting (zero with page_store off).
+  // Page-store accounting.
   std::uint64_t store_hit_pages = 0;
   std::uint64_t store_delta_bytes = 0;
   std::uint64_t template_clones = 0;
   std::uint64_t store_pages = 0;       // resident records at end of run
+  std::uint64_t store_evicted_pages = 0;
   std::size_t store_templates = 0;
   // Live-migration / warmth ledger (zero unless migrations ran, §6i).
   std::uint64_t migrations_out = 0;

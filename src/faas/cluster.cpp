@@ -62,55 +62,6 @@ sim::TimePoint WorkerNode::next_core_free(sim::TimePoint now) const {
   return std::max(now, *std::min_element(core_free_.begin(), core_free_.end()));
 }
 
-WorkerNode::CacheAdmit WorkerNode::cache_admit(const std::string& key,
-                                               const std::string& fs_prefix,
-                                               std::uint64_t bytes) {
-  CacheAdmit out;
-  const auto it = cache_.find(key);
-  std::erase(cache_lru_, key);
-  cache_lru_.push_back(key);
-  if (it != cache_.end()) {
-    out.hit = true;
-    ++stats_.snapshot_hits;
-    return out;
-  }
-  ++stats_.snapshot_misses;
-  cache_[key] = CacheEntry{fs_prefix, bytes};
-  cache_bytes_ += bytes;
-  out.evicted_prefixes = evict_to_fit();
-  return out;
-}
-
-std::string WorkerNode::cache_drop(const std::string& key) {
-  const auto it = cache_.find(key);
-  if (it == cache_.end()) return {};
-  std::erase(cache_lru_, key);
-  cache_bytes_ -= it->second.bytes;
-  std::string prefix = it->second.fs_prefix;
-  cache_.erase(it);
-  return prefix;
-}
-
-std::vector<std::string> WorkerNode::set_cache_capacity(std::uint64_t bytes) {
-  cache_capacity_ = bytes;
-  return evict_to_fit();
-}
-
-std::vector<std::string> WorkerNode::evict_to_fit() {
-  std::vector<std::string> evicted;
-  if (cache_capacity_ == 0) return evicted;
-  while (cache_bytes_ > cache_capacity_ && cache_lru_.size() > 1) {
-    const std::string victim = cache_lru_.front();
-    cache_lru_.erase(cache_lru_.begin());
-    const auto it = cache_.find(victim);
-    cache_bytes_ -= it->second.bytes;
-    evicted.push_back(it->second.fs_prefix);
-    cache_.erase(it);
-    ++stats_.snapshot_evictions;
-  }
-  return evicted;
-}
-
 WorkerNode* Scheduler::pick_worst_fit(std::vector<WorkerNode>& nodes,
                                       const PlacementRequest& request) {
   WorkerNode* best = nullptr;
@@ -144,42 +95,34 @@ WorkerNode* Scheduler::pick(std::vector<WorkerNode>& nodes,
     }
 
     case PlacementPolicy::kSnapshotLocality: {
-      // Page-store mode: score every candidate by the unique bytes its store
-      // is missing (what the delta fetch would actually transfer); least
-      // missing wins, most free memory breaks ties. A node missing the whole
-      // image scores like any other cold node, so this subsumes worst-fit.
-      if (request.snapshot_digests.data() != nullptr) {
-        WorkerNode* best = nullptr;
-        std::uint64_t best_missing = 0;
-        for (WorkerNode& n : nodes) {
-          if (!n.schedulable() || n.id() == request.exclude ||
-              n.mem_free() < request.mem_bytes)
-            continue;
-          const std::uint64_t missing =
-              n.store().missing_unique_bytes(request.snapshot_digests);
-          if (best == nullptr || missing < best_missing ||
-              (missing == best_missing && n.mem_free() > best->mem_free())) {
-            best = &n;
-            best_missing = missing;
-          }
+      // Score every candidate by the unique pages its store is missing (what
+      // the delta fetch would actually transfer); least missing wins, most
+      // free memory breaks ties. A node missing the whole image scores like
+      // any other cold node, so this subsumes worst-fit. The request's
+      // digests are deduplicated once, not once per node.
+      if (request.snapshot_digests.empty())
+        return pick_worst_fit(nodes, request);
+      std::vector<std::uint64_t> unique(request.snapshot_digests.begin(),
+                                        request.snapshot_digests.end());
+      std::sort(unique.begin(), unique.end());
+      unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
+      WorkerNode* best = nullptr;
+      std::size_t best_missing = 0;
+      for (WorkerNode& n : nodes) {
+        if (!n.schedulable() || n.id() == request.exclude ||
+            n.mem_free() < request.mem_bytes)
+          continue;
+        const criu::PageStore& store = n.store();
+        const std::size_t missing = static_cast<std::size_t>(std::count_if(
+            unique.begin(), unique.end(),
+            [&store](std::uint64_t d) { return !store.contains(d); }));
+        if (best == nullptr || missing < best_missing ||
+            (missing == best_missing && n.mem_free() > best->mem_free())) {
+          best = &n;
+          best_missing = missing;
         }
-        return best;
       }
-      // Among nodes already holding the snapshot, take the one with most
-      // free memory; otherwise fall back to worst-fit (which also covers
-      // vanilla replicas, whose request carries no snapshot key).
-      if (!request.snapshot_key.empty()) {
-        WorkerNode* best = nullptr;
-        for (WorkerNode& n : nodes) {
-          if (!n.schedulable() || n.id() == request.exclude ||
-              n.mem_free() < request.mem_bytes)
-            continue;
-          if (!n.cache_contains(request.snapshot_key)) continue;
-          if (best == nullptr || n.mem_free() > best->mem_free()) best = &n;
-        }
-        if (best != nullptr) return best;
-      }
-      return pick_worst_fit(nodes, request);
+      return best;
     }
   }
   return nullptr;

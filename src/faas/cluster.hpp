@@ -4,19 +4,17 @@
 // nodes. A WorkerNode owns (a) its memory budget, (b) its CPU timeline —
 // replica start-ups and request service execute as serialized work on the
 // node's cores, so concurrent restores on one node contend while restores on
-// different nodes overlap — and (c) a node-local snapshot/image cache: under
-// the Section-7 "checkpoint/restore as a service" deployment the first
-// restore of a function on a node pulls the image files from the remote
-// registry, after which they are resident locally (cf. Ustiugov et al.,
-// PAPERS.md, on snapshot locality deciding restore cost).
+// different nodes overlap — and (c) a content-addressed page store: under
+// the Section-7 "checkpoint/restore as a service" deployment a node's restore
+// pulls from the remote registry only the pages its store lacks (cf.
+// Ustiugov et al., PAPERS.md, on snapshot locality deciding restore cost).
 //
 // The Scheduler picks a node for each replica with a pluggable policy:
 // worst-fit (spread by free memory), round-robin, or snapshot-locality-aware
-// (prefer nodes that already hold the function's images).
+// (prefer nodes whose store already holds most of the snapshot's pages).
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <span>
 #include <string>
 #include <vector>
@@ -40,12 +38,14 @@ const char* node_state_name(NodeState state);
 
 struct NodeStats {
   std::uint64_t replicas_placed = 0;   // lifetime placements (not current)
-  std::uint64_t snapshot_hits = 0;     // restores served from the local cache
-  std::uint64_t snapshot_misses = 0;   // restores that had to pull remotely
-  std::uint64_t snapshot_evictions = 0;
+  // Remote-registry starts that pulled nothing from the registry (template
+  // clones included) vs something.
+  std::uint64_t snapshot_hits = 0;
+  std::uint64_t snapshot_misses = 0;
   std::uint64_t remote_bytes_fetched = 0;
   sim::Duration busy;                  // CPU time executed on this node
-  // Page-store accounting (zero unless the platform runs with page_store on).
+  // Page-store accounting (zero unless the platform runs with remote_registry
+  // or page_store on).
   std::uint64_t store_hit_pages = 0;
   std::uint64_t store_delta_bytes = 0;
   std::uint64_t template_clones = 0;
@@ -98,34 +98,9 @@ class WorkerNode {
   // When the next core becomes available (>= now).
   sim::TimePoint next_core_free(sim::TimePoint now) const;
 
-  // --- node-local snapshot/image cache ------------------------------------
-  struct CacheAdmit {
-    bool hit = false;
-    // fs prefixes of evicted entries; the owner removes their local files.
-    std::vector<std::string> evicted_prefixes;
-  };
-  // Look up `key` (function/policy tag); admit it on miss. `fs_prefix` is
-  // where the key's image files live on this node, `bytes` their total size
-  // (drives LRU eviction against the cache capacity). Hits refresh recency.
-  CacheAdmit cache_admit(const std::string& key, const std::string& fs_prefix,
-                         std::uint64_t bytes);
-  bool cache_contains(const std::string& key) const {
-    return cache_.contains(key);
-  }
-  // Forcibly remove `key` from the cache (snapshot quarantine: the cached
-  // copy is poisoned). Returns the entry's fs prefix so the owner can drop
-  // the node-local files, or empty if the key was not cached.
-  std::string cache_drop(const std::string& key);
-  // 0 = unbounded. Shrinking evicts immediately; evicted prefixes are
-  // returned so the owner can drop the files.
-  std::vector<std::string> set_cache_capacity(std::uint64_t bytes);
-  std::uint64_t cache_capacity() const { return cache_capacity_; }
-  std::uint64_t cache_bytes() const { return cache_bytes_; }
-  std::size_t cache_entries() const { return cache_.size(); }
-
   // --- node-local content-addressed page store (DESIGN.md §6f) -------------
-  // Replaces the file-grain cache above when the platform runs with
-  // page_store on: dedup-aware delta transfer plus frozen restore templates.
+  // The node's snapshot cache: dedup-aware registry delta transfer, plus
+  // frozen restore templates when the platform runs with page_store on.
   criu::PageStore& store() { return store_; }
   const criu::PageStore& store() const { return store_; }
 
@@ -133,13 +108,6 @@ class WorkerNode {
   const NodeStats& stats() const { return stats_; }
 
  private:
-  struct CacheEntry {
-    std::string fs_prefix;
-    std::uint64_t bytes = 0;
-  };
-
-  std::vector<std::string> evict_to_fit();
-
   NodeId id_ = 0;
   std::string name_;
   std::uint64_t mem_capacity_ = 0;
@@ -148,10 +116,6 @@ class WorkerNode {
   std::uint32_t cpus_ = 1;
   NodeState state_ = NodeState::kReady;
   std::vector<sim::TimePoint> core_free_;
-  std::map<std::string, CacheEntry> cache_;
-  std::vector<std::string> cache_lru_;  // front = least recently used
-  std::uint64_t cache_capacity_ = 0;
-  std::uint64_t cache_bytes_ = 0;
   criu::PageStore store_;
   NodeStats stats_;
 };
@@ -161,21 +125,18 @@ class WorkerNode {
 enum class PlacementPolicy : std::uint8_t {
   kWorstFit,         // most free memory first (the seed's behaviour)
   kRoundRobin,       // rotate across schedulable nodes
-  kSnapshotLocality  // prefer nodes whose cache already holds the snapshot
+  kSnapshotLocality  // prefer nodes whose store holds the snapshot's pages
 };
 
 const char* placement_policy_name(PlacementPolicy policy);
 
 struct PlacementRequest {
   std::uint64_t mem_bytes = 0;
-  // Snapshot cache key ("<function>/<policy tag>"); empty for vanilla
-  // replicas (locality then degrades to worst-fit for the request).
-  std::string snapshot_key;
-  // Page digests of the snapshot's payload (page-store mode). When set, the
-  // locality policy scores nodes by the unique bytes their store is missing
-  // instead of by whole-file cache membership — a node sharing most of the
-  // image through another function's snapshot is nearly as good as one that
-  // restored this very snapshot. Unset (null data) = file-grain scoring.
+  // Page digests of the snapshot's payload (empty for vanilla replicas and
+  // platforms without a node store). The locality policy scores nodes by the
+  // unique pages their store is missing — a node sharing most of the image
+  // through another function's snapshot is nearly as good as one that
+  // restored this very snapshot; with no digests it degrades to worst-fit.
   // Borrowed from the snapshot's ImageDir decode cache (zero-copy, §6g);
   // valid for the placement call, not for storage.
   std::span<const std::uint64_t> snapshot_digests;

@@ -185,14 +185,17 @@ Platform::Replica* Platform::start_replica(const std::string& function,
     est += 16ull * 1024 * 1024 + fn.spec.total_class_bytes() * 2 +
            fn.spec.init_extra_resident;
 
+  // Every prebaked start on a remote registry, and every one with templates
+  // on, runs against its node's page store; the placement request then
+  // carries the snapshot's digests for kSnapshotLocality. Layered locality
+  // scores by the *whole chain*'s digests (base first), so a node holding
+  // the base ranks by the missing delta pages only, which is what the
+  // restore would actually transfer.
+  const bool node_store = config_.remote_registry || config_.page_store;
   PlacementRequest request;
   request.mem_bytes = est;
-  if (snap != nullptr) request.snapshot_key = snap->fs_prefix;
-  // Layered locality scores by the *whole chain*'s digests (base first):
-  // kSnapshotLocality then ranks a node holding the base by the missing
-  // delta bytes only, which is what the restore would actually transfer.
   std::vector<std::uint64_t> chain_digests;
-  if (config_.page_store && snap != nullptr && snap->images.decoded().pages) {
+  if (node_store && snap != nullptr && snap->images.decoded().pages) {
     if (base != nullptr && base->images.decoded().pages) {
       const auto& b = base->images.decoded().pages->digests();
       const auto& d = snap->images.decoded().pages->digests();
@@ -268,35 +271,16 @@ Platform::Replica* Platform::start_replica(const std::string& function,
       // attempt count and the fallback flag; the catch below stays as the
       // safety net for non-restore failures.
       opts.policy.fallback_to_vanilla = true;
+      WorkerNode& wn = resources_.node_mut(*node);
       if (config_.remote_registry) {
-        WorkerNode& wn = resources_.node_mut(*node);
+        // Materialize the node-local image files; ones never fetched start
+        // cold, so the restore pays the registry transfer for exactly the
+        // uncached files (pages-1.img as a delta against the node's page
+        // store). The materialization itself can be cut short
+        // (kTruncatedWrite): the restore detects the short file and fails
+        // typed, and the breaker heals the node copy via quarantine +
+        // re-bake.
         const std::string local = node_image_prefix(*node, snap->fs_prefix);
-        if (!config_.page_store) {
-          // File-grain LRU cache (legacy): whole image dirs are admitted and
-          // evicted together. The page store supersedes this — page records
-          // are budgeted individually there.
-          if (config_.node_snapshot_cache_bytes > 0 && wn.cache_capacity() == 0)
-            wn.set_cache_capacity(config_.node_snapshot_cache_bytes);
-          const WorkerNode::CacheAdmit admit = wn.cache_admit(
-              snap->fs_prefix, local, snap->images.nominal_total());
-          {
-            obs::Span cache_span = tr.instant(
-                admit.hit ? "snapshot-cache.hit" : "snapshot-cache.miss",
-                "faas");
-            cache_span.attr("function", function);
-            tr.count(admit.hit ? "faas.snapshot_cache.hits"
-                               : "faas.snapshot_cache.misses");
-          }
-          for (const std::string& prefix : admit.evicted_prefixes)
-            for (const std::string& path : kernel_->fs().list(prefix))
-              kernel_->fs().remove(path);
-        }
-        // Materialize the node-local image files; ones never fetched (or
-        // evicted above) start cold, so the restore pays the registry
-        // transfer for exactly the uncached bytes. The materialization
-        // itself can be cut short (kTruncatedWrite): the restore detects
-        // the short file and fails typed, and the breaker heals the node
-        // copy via quarantine + re-bake.
         for (const auto& [name, f] : snap->images.files()) {
           const std::string path = local + name;
           if (!kernel_->fs().exists(path)) {
@@ -311,8 +295,7 @@ Platform::Replica* Platform::start_replica(const std::string& function,
       } else {
         opts.restore.fs_prefix = snap->fs_prefix;
       }
-      if (config_.page_store) {
-        WorkerNode& wn = resources_.node_mut(*node);
+      if (node_store) {
         if (config_.node_page_store_bytes > 0 && wn.store().capacity() == 0)
           wn.store().set_capacity(config_.node_page_store_bytes);
         opts.restore.page_store = &wn.store();
@@ -320,7 +303,7 @@ Platform::Replica* Platform::start_replica(const std::string& function,
         // leaves a lazy tail the frozen template would miss — see
         // RestoreOptions::validate); under lazy or working-set modes the
         // store still serves per-page delta transfer.
-        if (paging.mode == criu::PagingMode::kEager)
+        if (config_.page_store && paging.mode == criu::PagingMode::kEager)
           opts.restore.store_key = opts.restore.fs_prefix;
       }
       if (base != nullptr) {
@@ -343,49 +326,42 @@ Platform::Replica* Platform::start_replica(const std::string& function,
       }
       replica->proc = startup_.start_prebaked(fn.spec, snap->images, opts,
                                               rng.child(0));
-      if (config_.remote_registry)
-        resources_.node_mut(*node).stats().remote_bytes_fetched +=
-            replica->proc.remote_bytes_fetched;
-      if (config_.page_store) {
-        NodeStats& ns = resources_.node_mut(*node).stats();
-        ns.store_hit_pages += replica->proc.store_hit_pages;
-        ns.store_delta_bytes += replica->proc.store_delta_bytes;
-        if (replica->proc.template_clone) {
-          // Served from the node's frozen template: the page-store analogue
-          // of a snapshot cache hit.
-          ++ns.template_clones;
-          ++ns.snapshot_hits;
-        } else if (!replica->proc.breakdown.fell_back_to_vanilla) {
-          ++ns.snapshot_misses;
-        }
-      }
-      if (opts.base.has_value() &&
-          !replica->proc.breakdown.fell_back_to_vanilla) {
+      const criu::RestoreResult& restored = replica->proc.restore;
+      const bool fell_back = replica->proc.breakdown.fell_back_to_vanilla;
+      NodeStats& ns = wn.stats();
+      ns.remote_bytes_fetched += restored.remote_bytes;
+      ns.store_hit_pages += restored.store_hit_pages;
+      ns.store_delta_bytes += restored.store_delta_bytes;
+      if (restored.template_clone) ++ns.template_clones;
+      // A remote-registry start hits when it pulled nothing from the
+      // registry; a template clone reads no image, so it always hits.
+      if (config_.remote_registry && !fell_back)
+        ++(restored.remote_bytes == 0 ? ns.snapshot_hits : ns.snapshot_misses);
+      if (opts.base.has_value() && !fell_back) {
         ++stats_.layered_starts;
-        if (replica->proc.base_template_clone) {
+        if (restored.base_template_clone) {
           ++stats_.base_template_clones;
-          ++resources_.node_mut(*node).stats().base_template_clones;
+          ++ns.base_template_clones;
         }
-        if (replica->proc.base_template_materialized)
+        if (restored.base_template_materialized)
           ++stats_.base_templates_materialized;
         // Neither a base clone nor a freeze nor a function-template clone:
         // the start replayed the full base+delta chain from images.
-        if (!replica->proc.base_template_clone &&
-            !replica->proc.base_template_materialized &&
-            !replica->proc.template_clone)
+        if (!restored.base_template_clone &&
+            !restored.base_template_materialized && !restored.template_clone)
           ++stats_.layered_full_restores;
       }
       if (replica->proc.paging_mode == criu::PagingMode::kWorkingSet) {
-        if (replica->proc.ws_fallback) {
+        if (restored.ws_fallback) {
           ++stats_.ws_fallbacks;
-        } else if (replica->proc.ws_recorder == nullptr) {
+        } else if (restored.ws_recorder == nullptr) {
           ++stats_.ws_prefetch_starts;
-          stats_.ws_prefetched_pages += replica->proc.ws_prefetched_pages;
+          stats_.ws_prefetched_pages += restored.ws_prefetched_pages;
         }
       }
       if (replica->proc.breakdown.restore_attempts > 1)
         stats_.restore_retries += replica->proc.breakdown.restore_attempts - 1;
-      if (replica->proc.breakdown.fell_back_to_vanilla) {
+      if (fell_back) {
         ++stats_.restore_fallbacks;
         note_restore_failure(function);
       } else if (const auto it = snapshot_health_.find(function);
@@ -585,17 +561,17 @@ void Platform::serve(Replica& replica, Pending pending) {
   // set (first_invoke_ws_fraction of what is pending); a prefetch restore
   // already bulk-mapped that set, so it faults nothing here, and later
   // invocations touch the same resident pages.
-  if (replica.proc.lazy_server != nullptr &&
-      !replica.proc.lazy_server->done()) {
+  const criu::RestoreResult& restored = replica.proc.restore;
+  if (restored.lazy_server != nullptr && !restored.lazy_server->done()) {
     if (replica.proc.paging_mode != criu::PagingMode::kWorkingSet) {
-      replica.proc.lazy_server->page_in_all();
-    } else if (first_serve && (replica.proc.ws_recorder != nullptr ||
-                               replica.proc.ws_fallback)) {
+      restored.lazy_server->page_in_all();
+    } else if (first_serve && (restored.ws_recorder != nullptr ||
+                               restored.ws_fallback)) {
       const rt::FunctionSpec& spec = registry_.get(replica.function).spec;
       const double fraction =
           std::clamp(spec.first_invoke_ws_fraction, 0.0, 1.0);
-      const std::uint64_t pending = replica.proc.lazy_server->pending_pages();
-      replica.proc.lazy_server->page_in(static_cast<std::uint64_t>(
+      const std::uint64_t pending = restored.lazy_server->pending_pages();
+      restored.lazy_server->page_in(static_cast<std::uint64_t>(
           std::ceil(static_cast<double>(pending) * fraction)));
     }
   }
@@ -603,7 +579,7 @@ void Platform::serve(Replica& replica, Pending pending) {
   // First invocation of a recording replica done: its faults (restore-demand
   // plus the handler's own touches) are the working set. Closing the capture
   // here keeps the encode + persist cost inside the measured serve window.
-  if (replica.proc.ws_recorder != nullptr) finish_ws_capture(replica);
+  if (restored.ws_recorder != nullptr) finish_ws_capture(replica);
   const sim::TimePoint service_end = kernel_->sim().now();
   serve_span.end_at(service_end);
   kernel_->sim().rewind_to(service_start);
@@ -623,8 +599,8 @@ void Platform::serve(Replica& replica, Pending pending) {
 
 void Platform::finish_ws_capture(Replica& replica) {
   const criu::WorkingSetImage ws =
-      criu::finish_ws_recording(*kernel_, *replica.proc.ws_recorder);
-  replica.proc.ws_recorder.reset();
+      criu::finish_ws_recording(*kernel_, *replica.proc.restore.ws_recorder);
+  replica.proc.restore.ws_recorder.reset();
   std::vector<std::uint8_t> bytes = criu::encode_ws(ws);
   {
     obs::Span span = kernel_->trace().instant("ws-record.finish", "faas");
@@ -794,20 +770,19 @@ void Platform::note_restore_failure(const std::string& function) {
 void Platform::rebake(const std::string& function) {
   const RegisteredFunction& fn = registry_.get(function);
 
-  // Drop every node-local cached copy of the poisoned snapshot — a stale
+  // Remove every node-local copy of the poisoned snapshot — a stale
   // (possibly truncated) node copy must not outlive the quarantine.
   try {
     const core::BakedSnapshot& old = snapshots_.get(function, fn.policy);
     for (WorkerNode& wn : resources_.nodes_mut()) {
-      const std::string prefix = wn.cache_drop(old.fs_prefix);
-      if (!prefix.empty())
-        for (const std::string& path : kernel_->fs().list(prefix))
+      std::string key = old.fs_prefix;
+      if (config_.remote_registry) {
+        key = node_image_prefix(wn.id(), old.fs_prefix);
+        for (const std::string& path : kernel_->fs().list(key))
           kernel_->fs().remove(path);
+      }
       // A quarantined snapshot's frozen template descends from the poisoned
       // images: kill it too. Unpinning may evict its now-unreferenced pages.
-      const std::string key = config_.remote_registry
-                                  ? node_image_prefix(wn.id(), old.fs_prefix)
-                                  : old.fs_prefix;
       const os::Pid tpl = wn.store().drop_template(key);
       if (tpl != os::kNoPid && kernel_->alive(tpl)) {
         kernel_->kill_process(tpl);
@@ -1077,9 +1052,10 @@ void Platform::migration_round(std::uint64_t replica_id,
   // A working-set replica lazy-serves its cold tail for life, but a pre-dump
   // chain must capture full memory: fault the tail in first, charged to this
   // round's source-side work. (Pure-lazy replicas drained on first serve.)
+  const auto& lazy = r->proc.restore.lazy_server;
   if (r->proc.paging_mode == criu::PagingMode::kWorkingSet &&
-      r->proc.lazy_server != nullptr && !r->proc.lazy_server->done())
-    r->proc.lazy_server->page_in_all();
+      lazy != nullptr && !lazy->done())
+    lazy->page_in_all();
   std::vector<const criu::ImageDir*> chain_so_far;
   chain_so_far.reserve(m.chain.size());
   for (const auto& link : m.chain) chain_so_far.push_back(link.get());
@@ -1216,10 +1192,10 @@ void Platform::do_cutover(Replica& replica) {
 
   // Stop-and-copy (no pre-copy rounds ran) can still hold a working-set
   // replica's lazily pending cold tail: fault it in before the final dump.
+  const auto& lazy = replica.proc.restore.lazy_server;
   if (replica.proc.paging_mode == criu::PagingMode::kWorkingSet &&
-      replica.proc.lazy_server != nullptr &&
-      !replica.proc.lazy_server->done())
-    replica.proc.lazy_server->page_in_all();
+      lazy != nullptr && !lazy->done())
+    lazy->page_in_all();
 
   // Final freeze+dump of the last dirty delta (a full dump when the
   // pre-copy chain was abandoned). A corrupt arrival re-dumps, bounded.

@@ -76,21 +76,18 @@ struct PlatformConfig {
   // "Checkpoint/restore as a service" (Section 7): snapshot images live on a
   // remote registry. A node's first restore of a function pulls the images
   // at network bandwidth into a node-local copy; later restores on the same
-  // node read the local (page-cached) copy. Placement locality then decides
-  // how often the transfer is paid.
+  // node read the local (page-cached) copy. The node's content-addressed
+  // page store (DESIGN.md §6f) is the node cache: pages-1.img transfers as a
+  // per-page delta against it, and locality placement scores nodes by the
+  // unique pages their store is missing.
   bool remote_registry = false;
-  // Per-node budget for locally cached snapshot images (LRU; 0 = unbounded).
-  // Applied to nodes on their first remote restore; explicit per-node
-  // set_cache_capacity calls take precedence.
-  std::uint64_t node_snapshot_cache_bytes = 0;
-  // Content-addressed page store per node (DESIGN.md §6f): registry fetches
-  // negotiate per-page deltas, the first restore of a snapshot on a node
-  // freezes a template that later replicas COW-clone, and locality placement
-  // scores nodes by missing unique bytes. Replaces the file-grain snapshot
-  // cache above on the prebaked path. Off = legacy behavior everywhere.
+  // Frozen restore templates (DESIGN.md §6f): the first eager restore of a
+  // snapshot on a node freezes a template in the node's page store that
+  // later replicas COW-clone, and live migration ships links as deltas
+  // against the destination's store. Off = every start replays its images.
   bool page_store = false;
-  // Per-node byte budget for unpinned store pages (0 = unbounded); applied
-  // lazily like node_snapshot_cache_bytes.
+  // Per-node byte budget for unpinned store pages (0 = unbounded), applied
+  // to a node on its first start that uses the store.
   std::uint64_t node_page_store_bytes = 0;
   // Layered base+delta snapshots (DESIGN.md §6k): deploy() bakes — once per
   // runtime binary — a bare booted-runtime *base* snapshot, and every
@@ -398,7 +395,8 @@ class Platform {
   // Circuit breaker: bump the failure count, possibly trip the breaker.
   void note_restore_failure(const std::string& function);
   // Bake a fresh snapshot off the request path; lifts the quarantine when
-  // the new images are ready and drops every poisoned cached copy.
+  // the new images are ready. Removes the poisoned snapshot's node-local
+  // copies and frozen templates from every node first.
   void rebake(const std::string& function);
   // Injected kNodeCrash: fail the node now, optionally schedule recovery.
   void crash_node(NodeId node);

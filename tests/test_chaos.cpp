@@ -352,6 +352,60 @@ TEST(ChaosPlatform, RequeuedRequestCountsRetryNotQueueWait) {
   EXPECT_EQ(platform.request_log()[0].retries, 1u);
 }
 
+// --- Platform: a truncated node-local copy heals ----------------------------
+
+// One node's registry copy of pages-1.img is cut to half its nominal size
+// before the first request. The first start fails typed and falls back; the
+// breaker quarantines the snapshot and the re-bake removes the poisoned node
+// copy, so every later start fetches fresh images and restores. Templates
+// (page_store) must not hide the node copy from the re-bake.
+void expect_truncated_node_copy_heals(bool page_store) {
+  SCOPED_TRACE(page_store ? "page_store on" : "page_store off");
+  sim::Simulation sim;
+  os::Kernel kernel{sim, exp::testbed_costs()};
+  faas::PlatformConfig cfg;
+  cfg.remote_registry = true;
+  cfg.page_store = page_store;
+  cfg.quarantine_threshold = 1;
+  cfg.idle_timeout = sim::Duration::seconds(1);
+  faas::Platform platform{kernel, exp::testbed_runtime(), cfg, 99};
+  const faas::NodeId node = platform.resources().add_node("w1", 8ull << 30);
+  const core::SnapshotPolicy policy = core::SnapshotPolicy::warmup(1);
+  platform.deploy(exp::noop_spec(), faas::StartMode::kPrebaked, policy);
+  const core::BakedSnapshot& snap = platform.snapshots().get("noop", policy);
+  kernel.fs().create(
+      platform.node_image_prefix(node, snap.fs_prefix) + "pages-1.img",
+      snap.images.get("pages-1.img").nominal_size / 2);
+
+  const funcs::Request req = funcs::sample_request(
+      platform.registry().get("noop").spec.handler_id);
+  for (int i = 0; i < 4; ++i) {
+    bool done = false;
+    platform.invoke("noop", req,
+                    [&](const funcs::Response& res, const faas::RequestMetrics&) {
+                      EXPECT_TRUE(res.ok());
+                      done = true;
+                    });
+    while (!done && sim.step()) {
+    }
+    ASSERT_TRUE(done);
+    sim.run();  // idle the replica out; the re-bake lands meanwhile
+    ASSERT_EQ(platform.replica_count("noop"), 0u);
+  }
+  EXPECT_EQ(platform.stats().restore_fallbacks, 1u);
+  EXPECT_EQ(platform.stats().snapshot_quarantines, 1u);
+  EXPECT_EQ(platform.stats().snapshot_rebakes, 1u);
+  const std::vector<faas::RequestMetrics>& log = platform.request_log();
+  ASSERT_EQ(log.size(), 4u);
+  EXPECT_TRUE(log[3].cold_start);
+  EXPECT_FALSE(log[3].fallback);  // the fourth start restores
+}
+
+TEST(ChaosPlatform, TruncatedNodeCopyHealsByRebake) {
+  expect_truncated_node_copy_heals(/*page_store=*/false);
+  expect_truncated_node_copy_heals(/*page_store=*/true);
+}
+
 // --- Scenario level --------------------------------------------------------
 
 exp::ChaosScenarioConfig short_chaos(double corruption) {

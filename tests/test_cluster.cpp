@@ -52,31 +52,6 @@ TEST(WorkerNode, LaterSubmissionStartsAtNow) {
             later + sim::Duration::millis(5));
 }
 
-TEST(WorkerNodeCache, LruEvictionReturnsPrefixes) {
-  WorkerNode n{1, "n", GiB, 0};
-  n.set_cache_capacity(100);
-  EXPECT_FALSE(n.cache_admit("a", "/node/n/a/", 60).hit);
-  EXPECT_FALSE(n.cache_admit("b", "/node/n/b/", 30).hit);
-  EXPECT_TRUE(n.cache_admit("a", "/node/n/a/", 60).hit);  // refreshes a
-  // c does not fit: b (now least recently used) is evicted.
-  const auto admit = n.cache_admit("c", "/node/n/c/", 30);
-  EXPECT_FALSE(admit.hit);
-  ASSERT_EQ(admit.evicted_prefixes.size(), 1u);
-  EXPECT_EQ(admit.evicted_prefixes[0], "/node/n/b/");
-  EXPECT_TRUE(n.cache_contains("a"));
-  EXPECT_FALSE(n.cache_contains("b"));
-  EXPECT_EQ(n.stats().snapshot_evictions, 1u);
-  EXPECT_EQ(n.cache_bytes(), 90u);
-}
-
-TEST(WorkerNodeCache, OversizedEntryKeepsItself) {
-  WorkerNode n{1, "n", GiB, 0};
-  n.set_cache_capacity(50);
-  EXPECT_FALSE(n.cache_admit("big", "/p/", 80).hit);
-  EXPECT_TRUE(n.cache_contains("big"));  // never evict down to nothing
-  EXPECT_TRUE(n.cache_admit("big", "/p/", 80).hit);
-}
-
 // --- Scheduler policies ----------------------------------------------------
 
 TEST(Scheduler, RoundRobinRotates) {
@@ -96,16 +71,20 @@ TEST(Scheduler, LocalityPrefersCachedNode) {
   std::vector<WorkerNode> nodes;
   nodes.emplace_back(1, "a", GiB, 0);
   nodes.emplace_back(2, "b", GiB, 0);
-  nodes[1].cache_admit("snap", "/node/b/s/", 10);
+  const std::vector<std::uint64_t> snap{11, 12, 13, 12};
+  nodes[0].store().insert(std::vector<std::uint64_t>{11});
+  nodes[1].store().insert(snap);
   Scheduler s{PlacementPolicy::kSnapshotLocality};
-  EXPECT_EQ(s.pick(nodes, PlacementRequest{100, "snap"})->id(), 2u);
-  // No key (vanilla) falls back to worst-fit: node a has more free memory
-  // once b hosts a replica.
+  EXPECT_EQ(s.pick(nodes, PlacementRequest{100, snap})->id(), 2u);
+  // Fewer missing pages beat more free memory.
   nodes[1].reserve(500 * MiB);
+  EXPECT_EQ(s.pick(nodes, PlacementRequest{100, snap})->id(), 2u);
+  // No digests (vanilla) falls back to worst-fit: node a has more free
+  // memory once b hosts a replica.
   EXPECT_EQ(s.pick(nodes, PlacementRequest{100, {}})->id(), 1u);
   // Cached-but-full nodes are skipped.
   nodes[1].reserve(nodes[1].mem_free());
-  EXPECT_EQ(s.pick(nodes, PlacementRequest{100, "snap"})->id(), 1u);
+  EXPECT_EQ(s.pick(nodes, PlacementRequest{100, snap})->id(), 1u);
 }
 
 TEST(Scheduler, SkipsUnschedulableNodes) {

@@ -282,6 +282,27 @@ TEST_F(StoreRestoreTest, StoreDisabledMatchesLegacyTiming) {
   EXPECT_GT(store.stored_pages(), 0u);
 }
 
+TEST_F(StoreRestoreTest, StoreLazyRemoteRestoreBypassesStore) {
+  // Lazy paging leaves the page lifecycle to the uffd server: a remote
+  // restore with a store attached negotiates no delta and records no page,
+  // so the node's store gives locality placement no signal for it.
+  const DumpResult dump = dump_to(make_target(0xFEED), "/registry/lazy/");
+  PageStore store;
+  RestoreOptions opts;
+  opts.fs_prefix = "/registry/lazy/";
+  opts.remote_fetch = true;
+  opts.page_store = &store;
+  opts.paging = PagingPolicy::lazy();
+  kernel_.fs().drop_caches();
+  const RestoreResult r = Restorer{kernel_}.restore(dump.images, opts);
+  ASSERT_NE(r.lazy_server, nullptr);
+  EXPECT_GT(r.remote_bytes, 0u);
+  EXPECT_EQ(r.store_hit_pages, 0u);
+  EXPECT_EQ(r.store_delta_bytes, 0u);
+  EXPECT_EQ(store.stats().digest_bytes, 0u);
+  EXPECT_EQ(store.stored_pages(), 0u);
+}
+
 // --- COW template restores --------------------------------------------------
 
 class TemplateRestoreTest : public StoreRestoreTest {};

@@ -23,6 +23,14 @@ struct ProcShape {
 
 class RoundTrip : public ::testing::TestWithParam<ProcShape> {};
 
+// CTest names each case by the printed parameter; gtest's default prints
+// the struct's raw bytes, padding included, which differ between builds.
+void PrintTo(const ProcShape& s, std::ostream* os) {
+  *os << "threads" << s.extra_threads << "_vmas" << s.vmas << "_pages"
+      << s.pages_per_vma
+      << (s.mode == criu::PayloadMode::kFull ? "_full" : "_digest");
+}
+
 TEST_P(RoundTrip, RestoredProcessMatchesOriginal) {
   const ProcShape shape = GetParam();
   sim::Simulation sim;

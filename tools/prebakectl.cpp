@@ -6,7 +6,7 @@
 //   prebakectl service --function image-resizer --technique vanilla --requests 100
 //   prebakectl bake-info --function noop [--warmup 1]
 //   prebakectl nodes [--nodes N] [--cpus N] [--policy worst-fit|round-robin|
-//               locality] [--rate HZ] [--duration-s S] [--cache-mib M]
+//               locality] [--rate HZ] [--duration-s S] [--store-mib M]
 //   prebakectl migrate FUNCTION [--from N] [--to N] [--nodes N] [--rounds N]
 //   prebakectl faults [--rate R] [--crash-rate R] [--seed S] [--attempts N]
 //               [--quarantine N] [--duration-s S]
@@ -70,7 +70,7 @@ int usage() {
                " trace_event JSON)\n"
                "  nodes     [--nodes N] [--cpus N] [--policy P] [--rate HZ]"
                " [--duration-s S]\n"
-               "            [--cache-mib M] [--mode vanilla|prebaked]"
+               "            [--store-mib M] [--mode vanilla|prebaked]"
                " [--seed S]\n"
                "  migrate   FUNCTION [--from N] [--to N] [--nodes N]"
                " [--rounds N] [--seed S]\n"
@@ -369,8 +369,8 @@ faas::PlacementPolicy resolve_policy(const std::string& name) {
 }
 
 // Run the mixed-traffic cluster scenario and print the per-node view:
-// where replicas landed, memory in use, and how the node-local snapshot
-// cache behaved (hits avoid the registry transfer entirely).
+// where replicas landed, memory in use, and how each node's page store
+// behaved (hits avoid the registry transfer entirely).
 int cmd_nodes(const exp::CliArgs& args) {
   exp::ClusterScenarioConfig cfg;
   cfg.nodes = static_cast<std::uint32_t>(args.get_int_or("nodes", 4));
@@ -378,8 +378,8 @@ int cmd_nodes(const exp::CliArgs& args) {
   cfg.policy = resolve_policy(args.get_or("policy", "locality"));
   cfg.rate_hz = args.get_double_or("rate", 0.5);
   cfg.duration = sim::Duration::seconds_f(args.get_double_or("duration-s", 600.0));
-  cfg.node_snapshot_cache_bytes =
-      static_cast<std::uint64_t>(args.get_int_or("cache-mib", 120)) << 20;
+  cfg.node_page_store_bytes =
+      static_cast<std::uint64_t>(args.get_int_or("store-mib", 120)) << 20;
   cfg.mode = args.get_or("mode", "prebaked") == "vanilla"
                  ? faas::StartMode::kVanilla
                  : faas::StartMode::kPrebaked;
@@ -417,16 +417,17 @@ int cmd_nodes(const exp::CliArgs& args) {
               exp::fmt_mib(r.remote_bytes_fetched).c_str());
 
   exp::TextTable table{{"Node", "State", "Replicas", "Mem used", "Placed",
-                        "Hits", "Misses", "Evict", "Cache", "Registry MiB",
-                        "Migr out/in", "Warmth mig/lost", "Busy"}};
+                        "Hits", "Misses", "Store pages", "Evicted",
+                        "Registry MiB", "Migr out/in", "Warmth mig/lost",
+                        "Busy"}};
   for (const exp::ClusterNodeReport& n : r.nodes)
     table.add_row({n.name, n.state, std::to_string(n.replicas),
                    exp::fmt_mib(n.mem_used), std::to_string(n.replicas_placed),
                    std::to_string(n.snapshot_hits),
                    std::to_string(n.snapshot_misses),
-                   std::to_string(n.snapshot_evictions),
-                   std::to_string(n.cache_entries) + " (" +
-                       exp::fmt_mib(n.cache_bytes) + ")",
+                   std::to_string(n.store_pages) + " (" +
+                       exp::fmt_mib(n.store_pages * 4096) + ")",
+                   std::to_string(n.store_evicted_pages),
                    exp::fmt_mib(n.remote_bytes_fetched),
                    std::to_string(n.migrations_out) + "/" +
                        std::to_string(n.migrations_in),

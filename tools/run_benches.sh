@@ -3,6 +3,13 @@
 #
 #   tools/run_benches.sh [--build-dir DIR] [--threads N] [--reps N] [--out FILE]
 #   tools/run_benches.sh --check [--build-dir DIR] [--threads N]
+#   tools/run_benches.sh --trace [--build-dir DIR] [--threads N] [--reps N]
+#                        [--out FILE]
+#   tools/run_benches.sh --BENCH [--check] [--build-dir DIR] [--out FILE]
+#
+# A flag the selected mode would ignore (say --threads with a bench flag, or
+# --out with --check) prints this usage on stderr and exits 2, like an
+# unknown argument.
 #
 # Default mode times the fig3 + fig5 sweeps with the seed's serial runner vs
 # the parallel engine and writes BENCH_harness.json (wall-clock ms per
@@ -77,22 +84,26 @@ benches=(
   "--chaos chaos_restore BENCH_chaos_restore.json"
 )
 
+usage() { echo "usage:" >&2; sed -n '4,8s/^#//p' "$0" >&2; exit 2; }
+
 build_dir="${repo_root}/build"
 picked=${#benches[@]}  # index of the selected bench; none yet
 harness_args=()
 out=""
 check=0
 trace=0
+threads_set=0
 reps_set=0
+out_set=0
 
 while [[ $# -gt 0 ]]; do
   case "$1" in
     --check) check=1; shift ;;
     --trace) trace=1; shift ;;
     --build-dir) build_dir="$2"; shift 2 ;;
-    --threads) harness_args+=(--threads "$2"); shift 2 ;;
+    --threads) harness_args+=(--threads "$2"); threads_set=1; shift 2 ;;
     --reps) harness_args+=(--reps "$2"); reps_set=1; shift 2 ;;
-    --out) out="$2"; shift 2 ;;
+    --out) out="$2"; out_set=1; shift 2 ;;
     *)
       i=0
       while [[ $i -lt ${#benches[@]} && "${benches[i]%% *}" != "$1" ]]; do
@@ -107,6 +118,17 @@ while [[ $# -gt 0 ]]; do
       ;;
   esac
 done
+
+# Reject a flag the selected mode would drop: the bench binaries take no
+# --threads, --reps or --trace; --trace drops --check; --check drops --reps
+# and --out.
+bench_picked=$((picked < ${#benches[@]}))
+if ((bench_picked && (threads_set || reps_set || trace) ||
+     !bench_picked && trace && check ||
+     !bench_picked && !trace && check && (reps_set || out_set))); then
+  echo "run_benches.sh: a flag has no effect in this mode" >&2
+  usage
+fi
 
 bench=bench_harness
 default_out=BENCH_harness.json
