@@ -4,6 +4,8 @@
 // cost of the simulation itself, useful for keeping the harness fast).
 #include <benchmark/benchmark.h>
 
+#include <optional>
+
 #include "criu/crc32.hpp"
 #include "criu/dump.hpp"
 #include "criu/restore.hpp"
@@ -115,43 +117,69 @@ void BM_KernelPagemapWalk(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelPagemapWalk)->Arg(1024)->Arg(16384);
 
-void BM_FullDump(benchmark::State& state) {
+// A process whose heap is `mib` MiB of resident PatternSource{1} pages.
+os::Pid spawn_heap(os::Kernel& kernel, std::int64_t mib) {
+  const os::Pid pid = kernel.clone_process(os::kNoPid);
+  kernel.exec(pid, "/bin/app", {"/bin/app"});
+  const os::VmaId heap = kernel.mmap(
+      pid, static_cast<std::uint64_t>(mib) * 1024 * 1024, os::Prot::kReadWrite,
+      os::VmaKind::kAnon, "[heap]", std::make_shared<os::PatternSource>(1),
+      false);
+  kernel.fault_in_all(pid, heap);
+  return pid;
+}
+
+struct Testbed {
+  Testbed() { kernel.fs().create("/bin/app", 1024 * 1024); }
   sim::Simulation sim;
   os::Kernel kernel{sim, exp::testbed_costs()};
-  kernel.fs().create("/bin/app", 1024 * 1024);
+};
+
+// The first bake of its content: a fresh kernel per iteration, so the
+// kernel's digest memo holds nothing for the heap and every page is hashed.
+void BM_FullDump(benchmark::State& state) {
+  std::optional<Testbed> bed;
   for (auto _ : state) {
     state.PauseTiming();
-    const os::Pid pid = kernel.clone_process(os::kNoPid);
-    kernel.exec(pid, "/bin/app", {"/bin/app"});
-    const os::VmaId heap = kernel.mmap(
-        pid, static_cast<std::uint64_t>(state.range(0)) * 1024 * 1024,
-        os::Prot::kReadWrite, os::VmaKind::kAnon, "[heap]",
-        std::make_shared<os::PatternSource>(1), false);
-    kernel.fault_in_all(pid, heap);
+    bed.emplace();
+    const os::Pid pid = spawn_heap(bed->kernel, state.range(0));
     state.ResumeTiming();
-    criu::DumpResult dump = criu::Dumper{kernel}.dump(pid);
+    criu::DumpResult dump = criu::Dumper{bed->kernel}.dump(pid);
     benchmark::DoNotOptimize(dump);
   }
 }
 BENCHMARK(BM_FullDump)->Arg(4)->Arg(16)->Arg(64)->Unit(benchmark::kMillisecond);
 
-void BM_FullRestore(benchmark::State& state) {
-  sim::Simulation sim;
-  os::Kernel kernel{sim, exp::testbed_costs()};
-  kernel.fs().create("/bin/app", 1024 * 1024);
-  const os::Pid pid = kernel.clone_process(os::kNoPid);
-  kernel.exec(pid, "/bin/app", {"/bin/app"});
-  const os::VmaId heap = kernel.mmap(
-      pid, static_cast<std::uint64_t>(state.range(0)) * 1024 * 1024,
-      os::Prot::kReadWrite, os::VmaKind::kAnon, "[heap]",
-      std::make_shared<os::PatternSource>(1), false);
-  kernel.fault_in_all(pid, heap);
-  const criu::DumpResult dump = criu::Dumper{kernel}.dump(pid);
+// The Nth bake on a runtime: two earlier processes dumped the same heap
+// seed, so the memo serves the heap and only pid-seeded pages are hashed.
+void BM_FullDumpSharedSource(benchmark::State& state) {
+  Testbed bed;
+  for (int i = 0; i < 2; ++i)
+    criu::Dumper{bed.kernel}.dump(spawn_heap(bed.kernel, state.range(0)));
   for (auto _ : state) {
-    const criu::RestoreResult r = criu::Restorer{kernel}.restore(dump.images);
     state.PauseTiming();
-    kernel.kill_process(r.pid);
-    kernel.reap(r.pid);
+    const os::Pid pid = spawn_heap(bed.kernel, state.range(0));
+    state.ResumeTiming();
+    criu::DumpResult dump = criu::Dumper{bed.kernel}.dump(pid);
+    benchmark::DoNotOptimize(dump);
+  }
+}
+BENCHMARK(BM_FullDumpSharedSource)
+    ->Arg(4)
+    ->Arg(16)
+    ->Arg(64)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_FullRestore(benchmark::State& state) {
+  Testbed bed;
+  const criu::DumpResult dump =
+      criu::Dumper{bed.kernel}.dump(spawn_heap(bed.kernel, state.range(0)));
+  for (auto _ : state) {
+    const criu::RestoreResult r =
+        criu::Restorer{bed.kernel}.restore(dump.images);
+    state.PauseTiming();
+    bed.kernel.kill_process(r.pid);
+    bed.kernel.reap(r.pid);
     state.ResumeTiming();
   }
 }

@@ -1,10 +1,10 @@
 #include "criu/dump.hpp"
 
+#include <algorithm>
 #include <array>
 #include <map>
-#include <set>
 #include <stdexcept>
-#include <utility>
+#include <vector>
 
 namespace prebake::criu {
 
@@ -44,18 +44,20 @@ DumpResult Dumper::dump(os::Pid pid, const DumpOptions& opts) {
   // already holds it and it has not been dirtied since. A pre-dump chain
   // contributes every link's pagemap (nested --prev-images-dir semantics:
   // each link covers only its own round's delta, so coverage is the union).
-  std::set<std::pair<os::VmaId, std::uint64_t>> parent_pages;
-  const auto cover = [&parent_pages](const ImageDir& link) {
-    const auto maps = decode_pagemap(link.get("pagemap.img").bytes);
-    for (const PagemapEntry& e : maps)
-      for (std::uint64_t p = 0; p < e.pages; ++p)
-        parent_pages.emplace(e.vma, e.first_page + p);
+  // One bitmap per target VMA: the walk below only visits the target's pages.
+  std::map<os::VmaId, os::PageBitmap> parent_cover;
+  const auto cover = [&](const ImageDir& link) {
+    for (const PagemapEntry& e : decode_pagemap(link.get("pagemap.img").bytes)) {
+      const os::Vma* v = target.mm().find(e.vma);
+      if (v == nullptr) continue;
+      os::PageBitmap& bits = parent_cover[e.vma];
+      if (bits.size() != v->page_count()) bits.assign(v->page_count(), false);
+      bits.set_range(e.first_page, e.pages);
+    }
   };
   if (opts.parent != nullptr) cover(*opts.parent);
   for (const ImageDir* link : opts.parent_chain)
     if (link != nullptr) cover(*link);
-  const bool incremental =
-      opts.parent != nullptr || !opts.parent_chain.empty();
 
   // 3. Inject the parasite into the frozen target.
   obs::Span parasite_span = tr.span("parasite", "criu");
@@ -81,14 +83,18 @@ DumpResult Dumper::dump(os::Pid pid, const DumpOptions& opts) {
         std::span<const std::uint8_t, os::kPageSize>{zeros});
   }();
 
-  // Base coverage for a layered split (DESIGN.md §6k): position -> content
-  // digest of every page the base layer carries. A target page is skipped
-  // when the base holds the *same content at the same (vma, page)* — valid
-  // because base and function processes share vma ids and page content for
-  // the common runtime prefix (both boot the same runtime binary with the
-  // same fixed-seed sources), and page content in the model never changes
-  // after mapping (writes only set dirty bits).
-  std::map<std::pair<os::VmaId, std::uint64_t>, std::uint64_t> base_cover;
+  // Base coverage for a layered split (DESIGN.md §6k): per target VMA, the
+  // content digest of every page the base layer carries. A target page is
+  // skipped when the base holds the *same content at the same (vma, page)* —
+  // valid because base and function processes share vma ids and page
+  // content for the common runtime prefix (both boot the same runtime
+  // binary with the same fixed-seed sources), and page content in the model
+  // never changes after mapping (writes only set dirty bits).
+  struct BaseCover {
+    os::PageBitmap held;
+    std::vector<std::uint64_t> digests;
+  };
+  std::map<os::VmaId, BaseCover> base_cover;
   std::uint64_t shared_with_base = 0;
   if (opts.split_base != nullptr) {
     const ImageDir::Decoded& bdec = opts.split_base->decoded();
@@ -96,21 +102,34 @@ DumpResult Dumper::dump(os::Pid pid, const DumpOptions& opts) {
     if (bdec.pages) bdig = bdec.pages->digests();
     std::uint64_t cursor = 0;
     for (const PagemapEntry& e : bdec.pagemap) {
-      if (e.zero) {
-        for (std::uint64_t p = 0; p < e.pages; ++p)
-          base_cover[{e.vma, e.first_page + p}] = kZeroDigest;
-      } else {
-        for (std::uint64_t p = 0; p < e.pages; ++p)
-          base_cover[{e.vma, e.first_page + p}] =
-              cursor + p < bdig.size() ? bdig[cursor + p] : 0;
-        cursor += e.pages;
+      const std::uint64_t at = cursor;
+      if (!e.zero) cursor += e.pages;
+      const os::Vma* v = target.mm().find(e.vma);
+      if (v == nullptr || e.first_page >= v->page_count()) continue;
+      const std::uint64_t n = v->page_count();
+      BaseCover& c = base_cover[e.vma];
+      if (c.held.size() != n) {
+        c.held.assign(n, false);
+        c.digests.assign(n, 0);
       }
+      const std::uint64_t pages = std::min(e.pages, n - e.first_page);
+      c.held.set_range(e.first_page, pages);
+      for (std::uint64_t p = 0; p < pages; ++p)
+        c.digests[e.first_page + p] =
+            e.zero ? kZeroDigest : at + p < bdig.size() ? bdig[at + p] : 0;
     }
   }
 
   for (const os::PagemapRange& range : ranges) {
     const os::Vma* vma = target.mm().find(range.vma);
     if (vma == nullptr || vma->name == "[criu-parasite]") continue;
+    // Pagemap ranges never mix dirty and clean pages: a dirty range is
+    // dumped whole, a clean one skips what a parent covers.
+    const auto pit = parent_cover.find(range.vma);
+    const os::PageBitmap* parent =
+        range.dirty || pit == parent_cover.end() ? nullptr : &pit->second;
+    const auto bit = base_cover.find(range.vma);
+    const BaseCover* base = bit == base_cover.end() ? nullptr : &bit->second;
 
     PagemapEntry current{};
     bool open = false;
@@ -118,48 +137,56 @@ DumpResult Dumper::dump(os::Pid pid, const DumpOptions& opts) {
       if (open && current.pages > 0) dumped_ranges.push_back(current);
       open = false;
     };
-    for (std::uint64_t i = 0; i < range.pages; ++i) {
-      const std::uint64_t page = range.first_page + i;
-      const bool dirty = page < vma->dirty.size() && vma->dirty[page];
-      if (incremental && !dirty &&
-          parent_pages.contains({range.vma, page})) {
-        flush();
-        continue;  // unchanged since parent snapshot
-      }
-      const std::uint64_t digest = vma->source->page_digest(page);
-      if (opts.split_base != nullptr) {
-        const auto itb = base_cover.find({range.vma, page});
-        if (itb != base_cover.end() && itb->second == digest) {
+    std::uint64_t piped = 0;
+    // Stream pages [first, first + n), which no parent covers.
+    const auto stream = [&](std::uint64_t first, std::uint64_t n) {
+      const std::span<const std::uint64_t> digests =
+          k.page_digests(pid, range.vma, first, n);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        const std::uint64_t page = first + i;
+        const std::uint64_t digest = digests[i];
+        if (base != nullptr && base->held[page] &&
+            base->digests[page] == digest) {
           ++shared_with_base;
           flush();
           continue;  // the base layer already carries this exact content
         }
-      }
-      const bool is_zero = digest == kZeroDigest;
-      if (!open || current.zero != is_zero) {
-        flush();
-        current = PagemapEntry{range.vma, page, 0, is_zero};
-        open = true;
-      }
-      ++current.pages;
-      if (is_zero) {
-        ++zero_pages;
-        continue;  // no pipe transfer, no payload
-      }
-      ++pages_dumped;
-
-      k.pipe_transfer(pipe, os::kPageSize);
-      if (opts.payload_mode == PayloadMode::kFull) {
-        std::array<std::uint8_t, os::kPageSize> buf{};
-        vma->source->fill(page, std::span<std::uint8_t, os::kPageSize>{buf});
-        pages.raw.insert(pages.raw.end(), buf.begin(), buf.end());
-        pages.digests.push_back(os::hash_page_bytes(
-            std::span<const std::uint8_t, os::kPageSize>{buf}));
-      } else {
+        const bool is_zero = digest == kZeroDigest;
+        if (!open || current.zero != is_zero) {
+          flush();
+          current = PagemapEntry{range.vma, page, 0, is_zero};
+          open = true;
+        }
+        ++current.pages;
+        if (is_zero) {
+          ++zero_pages;
+          continue;  // no pipe transfer, no payload
+        }
+        ++piped;
         pages.digests.push_back(digest);
+        if (opts.payload_mode == PayloadMode::kFull) {
+          std::array<std::uint8_t, os::kPageSize> buf{};
+          vma->source->fill(page, std::span<std::uint8_t, os::kPageSize>{buf});
+          pages.raw.insert(pages.raw.end(), buf.begin(), buf.end());
+        }
       }
+    };
+    const std::uint64_t end = range.first_page + range.pages;
+    if (parent == nullptr) {
+      stream(range.first_page, range.pages);
+    } else {
+      std::uint64_t pos = range.first_page;
+      parent->for_each_set_run(range.first_page, range.pages,
+                               [&](std::uint64_t run, std::uint64_t n) {
+                                 if (run > pos) stream(pos, run - pos);
+                                 flush();  // unchanged since the parent
+                                 pos = run + n;
+                               });
+      if (pos < end) stream(pos, end - pos);
     }
     flush();
+    pages_dumped += piped;
+    k.pipe_transfer_pages(pipe, piped);
   }
 
   stream_span.attr("pages", pages_dumped);

@@ -1,5 +1,6 @@
 #include "os/kernel.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace prebake::os {
@@ -200,16 +201,65 @@ void Kernel::maybe_record(const Process& p, Pid pid, VmaId id,
 
 std::uint64_t Kernel::verify_run(Pid pid, VmaId id, std::uint64_t first_page,
                                  std::span<const std::uint64_t> expected) {
-  Process& p = require_mut(pid);
-  const Vma* vma = p.mm().find(id);
-  if (vma == nullptr)
-    throw std::invalid_argument{"Kernel::verify_run: unknown vma"};
-  const std::uint64_t matched = vma->source->match_digests(first_page, expected);
+  const std::span<const std::uint64_t> have =
+      page_digests(pid, id, first_page, expected.size());
+  const std::uint64_t matched = static_cast<std::uint64_t>(
+      std::mismatch(expected.begin(), expected.end(), have.begin()).first -
+      expected.begin());
   // Each verified page is read once. memcpy_cost is linear with no base
   // term, so cost(page) * N aggregated here equals N per-page advances.
   if (matched > 0)
     sim_->advance(costs_.memcpy_cost(kPageSize) * static_cast<double>(matched));
   return matched;
+}
+
+std::span<const std::uint64_t> Kernel::page_digests(Pid pid, VmaId id,
+                                                    std::uint64_t first_page,
+                                                    std::uint64_t count) {
+  const Vma* vma = require_mut(pid).mm().find(id);
+  if (vma == nullptr)
+    throw std::invalid_argument{"Kernel::page_digests: unknown vma"};
+  const PageSource& source = *vma->source;
+  const auto* pattern = dynamic_cast<const PatternSource*>(&source);
+  // Pages past the VMA (only a hostile image asks for them) are never kept,
+  // so the memo stays bounded by what processes map.
+  const bool in_vma = first_page <= vma->page_count() &&
+                      count <= vma->page_count() - first_page;
+  DigestMemo* memo = nullptr;
+  if (pattern != nullptr && in_vma) {
+    const auto [it, fresh] =
+        memo_.try_emplace({pattern->seed(), pattern->version()});
+    memo = &it->second;
+    if (fresh) {
+      ++memo_stats_.keys;
+      memo->first_asker = pid;
+    } else if (memo->first_asker != pid) {
+      memo->kept = true;
+    }
+  }
+  if (memo == nullptr || !memo->kept) {
+    digest_scratch_.resize(count);
+    for (std::uint64_t i = 0; i < count; ++i)
+      digest_scratch_[i] = source.page_digest(first_page + i);
+    memo_stats_.computed += count;
+    return {digest_scratch_.data(), count};
+  }
+  const std::uint64_t end = first_page + count;
+  if (memo->digests.size() < end) {
+    memo_stats_.kept_pages += end - memo->digests.size();
+    memo->digests.resize(end);
+    memo->known.grow(end);
+  }
+  std::uint64_t computed = 0;
+  for (std::uint64_t p = first_page; p < end; ++p) {
+    if (memo->known[p]) continue;
+    memo->digests[p] = pattern->page_digest(p);
+    memo->known.set(p);
+    ++computed;
+  }
+  memo_stats_.computed += computed;
+  memo_stats_.hits += count - computed;
+  return {memo->digests.data() + first_page, count};
 }
 
 void Kernel::charge_faults(const AddressSpace::TouchResult& touched) {
@@ -289,25 +339,11 @@ std::vector<PagemapRange> Kernel::pagemap(Pid pid) {
   std::vector<PagemapRange> out;
   std::uint64_t resident = 0;
   for (const Vma& vma : p.mm().vmas()) {
-    std::uint64_t run_start = 0;
-    bool in_run = false;
-    bool run_dirty = false;
-    const std::uint64_t n = vma.page_count();
-    for (std::uint64_t i = 0; i <= n; ++i) {
-      const bool present = i < n && vma.present[i];
-      const bool dirty = i < n && vma.dirty[i];
-      if (present && !in_run) {
-        in_run = true;
-        run_start = i;
-        run_dirty = dirty;
-      } else if (in_run && (!present || dirty != run_dirty)) {
-        out.push_back(PagemapRange{vma.id, run_start, i - run_start, run_dirty});
-        in_run = present;
-        run_start = i;
-        run_dirty = dirty;
-      }
-      if (present) ++resident;
-    }
+    vma.present.for_each_set_run_by(
+        vma.dirty, [&](std::uint64_t first, std::uint64_t pages, bool dirty) {
+          out.push_back(PagemapRange{vma.id, first, pages, dirty});
+        });
+    resident += vma.resident_pages();
   }
   sim_->advance(costs_.pagemap_per_page * static_cast<double>(resident));
   return out;
@@ -319,8 +355,10 @@ void Kernel::clear_soft_dirty(Pid pid) {
 
 std::uint64_t Kernel::create_pipe() { return next_pipe_++; }
 
-void Kernel::pipe_transfer(std::uint64_t /*pipe_id*/, std::uint64_t bytes) {
-  sim_->advance(costs_.pipe_cost(bytes));
+void Kernel::pipe_transfer_pages(std::uint64_t /*pipe_id*/,
+                                 std::uint64_t pages) {
+  if (pages > 0)
+    sim_->advance(costs_.pipe_cost(kPageSize) * static_cast<double>(pages));
 }
 
 }  // namespace prebake::os

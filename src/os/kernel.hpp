@@ -11,6 +11,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/tracer.hpp"
@@ -44,6 +45,14 @@ struct PagemapRange {
   std::uint64_t first_page = 0;
   std::uint64_t pages = 0;
   bool dirty = false;
+};
+
+// Read-only counters of Kernel::page_digests and its digest memo.
+struct DigestMemoStats {
+  std::uint64_t keys = 0;        // PatternSource (seed, version) keys asked
+  std::uint64_t kept_pages = 0;  // digest slots the memo holds, 8 B each
+  std::uint64_t computed = 0;    // pages hashed
+  std::uint64_t hits = 0;        // pages read back from the memo
 };
 
 class Kernel {
@@ -110,6 +119,20 @@ class Kernel {
   std::uint64_t verify_run(Pid pid, VmaId id, std::uint64_t first_page,
                            std::span<const std::uint64_t> expected);
 
+  // Content digests (PageSource::page_digest) of pages [first_page,
+  // first_page + count) of VMA `id`; charges nothing. PatternSource content
+  // is a pure function of (seed, version, page), so its digests go through
+  // a memo keyed by (seed, version) that lives as long as the kernel. A key
+  // is kept only once a second pid asks for it: the first asker (a
+  // pid-seeded stack, one function's own metaspace) computes without
+  // storing, and every function that boots the same runtime then reads the
+  // shared runtime pages back. BufferSource bytes are mutable and are
+  // hashed on every call. The span is valid until the next call.
+  std::span<const std::uint64_t> page_digests(Pid pid, VmaId id,
+                                              std::uint64_t first_page,
+                                              std::uint64_t count);
+  const DigestMemoStats& digest_memo_stats() const { return memo_stats_; }
+
   // --- fault recording (REAP-style working-set capture, DESIGN.md §6j) ----
   // Arm per-page fault capture for `pid`: every page of `pid` made resident
   // through fault_in / fault_in_all / populate_run is marked in a per-VMA
@@ -144,8 +167,10 @@ class Kernel {
 
   // --- pipes (parasite page channel) --------------------------------------
   std::uint64_t create_pipe();
-  // Transfer bytes through a pipe (charged at pipe bandwidth).
-  void pipe_transfer(std::uint64_t pipe_id, std::uint64_t bytes);
+  // Transfer `pages` whole pages through a pipe at pipe bandwidth: one
+  // advance of pipe_cost(kPageSize) * pages, exactly the total of that many
+  // single-page writes.
+  void pipe_transfer_pages(std::uint64_t pipe_id, std::uint64_t pages);
 
  private:
   Process& require_mut(Pid pid);
@@ -162,6 +187,16 @@ class Kernel {
   // Armed working-set captures; empty in every configuration that does not
   // record, so the hot-path guard is one branch on an empty map.
   std::map<Pid, std::map<VmaId, PageBitmap>> recordings_;
+  // page_digests' memo. `known` marks the pages whose digest is held.
+  struct DigestMemo {
+    Pid first_asker = kNoPid;
+    bool kept = false;  // a second pid has asked: digests are stored
+    PageBitmap known;
+    std::vector<std::uint64_t> digests;
+  };
+  std::map<std::pair<std::uint64_t, std::uint64_t>, DigestMemo> memo_;
+  DigestMemoStats memo_stats_;
+  std::vector<std::uint64_t> digest_scratch_;  // unkept digests' storage
   Pid next_pid_ = 100;
   std::uint64_t next_pipe_ = 1;
 };

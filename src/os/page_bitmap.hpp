@@ -5,7 +5,7 @@
 // turns those per-page bit flips into memset-width word stores and popcounts.
 // The API mirrors the subset of vector<bool> the address space used
 // (operator[], size, assign) plus the bulk operations the batched kernel
-// paths need (set_range, count_range, for_each_set_run).
+// paths need (set_range, count_range, for_each_set_run, for_each_set_run_by).
 #pragma once
 
 #include <bit>
@@ -27,6 +27,12 @@ class PageBitmap {
   void clear() {
     size_ = 0;
     words_.clear();
+  }
+  // Grow to `n` bits; the new bits are clear. Never shrinks.
+  void grow(std::uint64_t n) {
+    if (n <= size_) return;
+    size_ = n;
+    words_.resize(word_count(n), 0);
   }
 
   std::uint64_t size() const { return size_; }
@@ -117,6 +123,42 @@ class PageBitmap {
       fn(i, run_end - i);
       i = run_end;
     }
+  }
+
+  // Invoke fn(first_page, pages, marked) for each maximal run of set bits
+  // over which `marks` stays constant: the runs of for_each_set_run, split
+  // wherever `marks` flips. Walks a word of both bitmaps at a time, so an
+  // empty or uniform word costs one test.
+  template <typename Fn>
+  void for_each_set_run_by(const PageBitmap& marks, Fn&& fn) const {
+    bool open = false;
+    bool open_mark = false;
+    std::uint64_t start = 0;
+    for (std::uint64_t w = 0; w < words_.size(); ++w) {
+      const std::uint64_t set = words_[w];
+      const std::uint64_t mark = w < marks.words_.size() ? marks.words_[w] : 0;
+      const std::uint64_t base = w << 6;
+      int i = 0;
+      while (i < 64) {
+        if (!open) {
+          const std::uint64_t next = set >> i;
+          if (next == 0) break;
+          i += std::countr_zero(next);
+          open = true;
+          start = base + static_cast<std::uint64_t>(i);
+          open_mark = (mark >> i) & 1;
+        }
+        // The run ends at its first clear bit or its first flip of `marks`.
+        const std::uint64_t stop = (~set | (open_mark ? ~mark : mark)) >> i;
+        if (stop == 0) break;  // it runs on into the next word
+        i += std::countr_zero(stop);
+        fn(start, base + static_cast<std::uint64_t>(i) - start, open_mark);
+        open = false;
+      }
+    }
+    // Bits past size() are clear, so only a run reaching a whole-word end
+    // is still open here.
+    if (open) fn(start, size_ - start, open_mark);
   }
 
   bool operator==(const PageBitmap&) const = default;

@@ -33,14 +33,6 @@ std::uint64_t PageSource::page_digest(std::uint64_t page_index) const {
   return hash_page_bytes(std::span<const std::uint8_t, kPageSize>{buf});
 }
 
-std::uint64_t PageSource::match_digests(
-    std::uint64_t first_page, std::span<const std::uint64_t> expected) const {
-  for (std::size_t i = 0; i < expected.size(); ++i)
-    if (page_digest(first_page + i) != expected[i])
-      return static_cast<std::uint64_t>(i);
-  return expected.size();
-}
-
 void BufferSource::fill(std::uint64_t page_index,
                         std::span<std::uint8_t, kPageSize> out) const {
   std::fill(out.begin(), out.end(), std::uint8_t{0});

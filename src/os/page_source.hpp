@@ -26,14 +26,10 @@ class PageSource {
   virtual void fill(std::uint64_t page_index,
                     std::span<std::uint8_t, kPageSize> out) const = 0;
   // 64-bit digest of a page, computable without materializing it when the
-  // source supports that; default materializes and hashes.
+  // source supports that; default materializes and hashes. The engine asks
+  // for digests through os::Kernel::page_digests, which memoizes
+  // PatternSource content (DESIGN.md §6g).
   virtual std::uint64_t page_digest(std::uint64_t page_index) const;
-  // Bulk digest compare (the batched restore verification, DESIGN.md §6g):
-  // check pages [first_page, first_page + expected.size()) against
-  // `expected` and return how many leading pages match — expected.size()
-  // when the whole run verifies. Default loops page_digest.
-  virtual std::uint64_t match_digests(
-      std::uint64_t first_page, std::span<const std::uint64_t> expected) const;
 };
 
 // Real, mutable bytes. Pages past the buffer end read as zeros.

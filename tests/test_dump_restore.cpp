@@ -369,6 +369,42 @@ TEST_F(DumpRestoreTest, ZeroPagesCarryNoPayload) {
   EXPECT_TRUE(zero_run_found);
 }
 
+TEST_F(DumpRestoreTest, DigestMemoKeepsAKeyFromItsSecondPid) {
+  // Processes mapping one pattern: the first dump hashes without keeping,
+  // the second keeps its digests, the third hashes nothing. A bumped
+  // version is a new key that its first asker again does not keep.
+  const std::uint64_t n = 32;
+  const auto dump_pattern = [&](std::uint64_t version) {
+    const os::Pid pid = kernel_.clone_process(os::kNoPid);
+    const os::VmaId heap = kernel_.mmap(
+        pid, n * kPageSize, os::Prot::kReadWrite, os::VmaKind::kAnon, "[heap]",
+        std::make_shared<os::PatternSource>(0xB0B, version), false);
+    kernel_.fault_in_all(pid, heap);
+    const DumpResult dump = Dumper{kernel_}.dump(pid);
+    const std::span<const std::uint64_t> got = dump.images.decoded().pages->digests();
+    ASSERT_EQ(got.size(), n);
+    for (std::uint64_t p = 0; p < n; ++p)
+      EXPECT_EQ(got[p], os::PatternSource(0xB0B, version).page_digest(p));
+  };
+  const os::DigestMemoStats& memo = kernel_.digest_memo_stats();
+  dump_pattern(0);
+  EXPECT_EQ(memo.keys, 1u);
+  EXPECT_EQ(memo.computed, n);
+  EXPECT_EQ(memo.kept_pages, 0u);
+  dump_pattern(0);
+  EXPECT_EQ(memo.computed, 2 * n);
+  EXPECT_EQ(memo.kept_pages, n);
+  EXPECT_EQ(memo.hits, 0u);
+  dump_pattern(0);
+  EXPECT_EQ(memo.computed, 2 * n);
+  EXPECT_EQ(memo.hits, n);
+  dump_pattern(1);
+  EXPECT_EQ(memo.keys, 2u);
+  EXPECT_EQ(memo.computed, 3 * n);
+  EXPECT_EQ(memo.kept_pages, n);
+  EXPECT_EQ(memo.hits, n);
+}
+
 TEST_F(DumpRestoreTest, ZeroPagesRestoreByteIdentical) {
   std::vector<std::uint8_t> payload(kPageSize * 6, 0);
   for (std::size_t i = kPageSize; i < kPageSize * 2; ++i)

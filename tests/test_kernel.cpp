@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <vector>
+
 namespace prebake::os {
 namespace {
 
@@ -231,13 +234,47 @@ TEST_F(KernelTest, PagemapSplitsDirtyRuns) {
   }
   EXPECT_EQ(dirty_runs, 1);
   EXPECT_EQ(clean_runs, 2);
+
+  // A VMA over three bitmap words with a hole, whose dirty bits flip
+  // mid-word, across both word boundaries and up to its last page.
+  const VmaId wide = kernel_.mmap(pid, kPageSize * 150, Prot::kReadWrite,
+                                  VmaKind::kAnon, "wide",
+                                  std::make_shared<PatternSource>(2));
+  kernel_.fault_in(pid, wide, 0, 100);
+  kernel_.fault_in(pid, wide, 110, 40);
+  AddressSpace& mm = kernel_.process(pid).mm();
+  mm.touch(wide, 10, 10, /*write=*/true);
+  mm.touch(wide, 60, 8, /*write=*/true);
+  mm.touch(wide, 127, 2, /*write=*/true);
+  mm.touch(wide, 140, 10, /*write=*/true);
+  using Run = std::tuple<std::uint64_t, std::uint64_t, bool>;
+  std::vector<Run> runs;
+  const sim::TimePoint t0 = sim_.now();
+  for (const PagemapRange& r : kernel_.pagemap(pid))
+    if (r.vma == wide) runs.emplace_back(r.first_page, r.pages, r.dirty);
+  const std::vector<Run> want = {
+      {0, 10, false},  {10, 10, true},  {20, 40, false},
+      {60, 8, true},   {68, 32, false}, {110, 17, false},
+      {127, 2, true},  {129, 11, false}, {140, 10, true}};
+  EXPECT_EQ(runs, want);
+  // Charged per resident page of every VMA.
+  EXPECT_EQ((sim_.now() - t0).nanos_count(),
+            (CostModel{}.pagemap_per_page *
+             static_cast<double>(mm.resident_pages()))
+                .nanos_count());
 }
 
 TEST_F(KernelTest, PipeTransferChargesTime) {
   const std::uint64_t pipe = kernel_.create_pipe();
-  const double t0 = sim_.now().to_millis();
-  kernel_.pipe_transfer(pipe, 100 * 1024 * 1024);
-  EXPECT_GT(sim_.now().to_millis() - t0, 10.0);
+  const std::uint64_t pages = 100 * 1024 * 1024 / kPageSize;
+  const sim::TimePoint t0 = sim_.now();
+  kernel_.pipe_transfer_pages(pipe, pages);
+  const sim::Duration charged = sim_.now() - t0;
+  EXPECT_GT(charged.to_millis(), 10.0);
+  // One advance, the same total as `pages` single-page transfers.
+  EXPECT_EQ(charged.nanos_count(),
+            CostModel{}.pipe_cost(kPageSize).nanos_count() *
+                static_cast<std::int64_t>(pages));
 }
 
 TEST_F(KernelTest, PidsListsProcesses) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -138,6 +139,28 @@ TEST(PageBitmap, MatchesReferenceOnMixedPattern) {
     rebuilt.set_range(f, n);
   });
   EXPECT_EQ(rebuilt, bm);
+
+  // Split by a second pattern: the runs a page-at-a-time walk finds.
+  PageBitmap marks{517, false};
+  for (int i = 0; i < 40; ++i) {
+    x ^= x << 13; x ^= x >> 7; x ^= x << 17;
+    marks.set_range(x % 517, (x >> 32) % 70, (x >> 17) & 1);
+  }
+  using MarkedRun = std::tuple<std::uint64_t, std::uint64_t, bool>;
+  std::vector<MarkedRun> ref_runs;
+  for (std::uint64_t p = 0; p < 517; ++p) {
+    if (!bm[p]) continue;
+    if (p > 0 && bm[p - 1] && marks[p - 1] == marks[p])
+      ++std::get<1>(ref_runs.back());
+    else
+      ref_runs.emplace_back(p, 1, marks[p]);
+  }
+  std::vector<MarkedRun> runs;
+  bm.for_each_set_run_by(marks, [&runs](std::uint64_t f, std::uint64_t n,
+                                        bool marked) {
+    runs.emplace_back(f, n, marked);
+  });
+  EXPECT_EQ(runs, ref_runs);
 }
 
 TEST(PageBitmap, Equality) {

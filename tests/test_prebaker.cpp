@@ -86,6 +86,52 @@ TEST_F(PrebakerTest, BuildTimeIsRecorded) {
   EXPECT_GT(snap.build_time.to_millis(), 50.0);
 }
 
+TEST(PrebakerDigestMemo, BakeAfterOtherBakesIsByteIdentical) {
+  // A function baked after two others on the same runtime reads the shared
+  // runtime pages' digests back from the kernel's memo; its image files
+  // must equal those of the same bake in a fresh kernel.
+  struct Bed {
+    sim::Simulation sim;
+    os::Kernel kernel{sim, exp::testbed_costs()};
+    funcs::SharedAssets assets;
+    StartupService startup{kernel, exp::testbed_runtime(), assets};
+    faas::FunctionBuilder builder{kernel, startup};
+
+    // `pid`, when set, is the pid the baked process must get: the pid is
+    // part of the images, so beds with different histories line it up.
+    BakedSnapshot bake(rt::FunctionSpec spec, os::Pid pid = os::kNoPid) {
+      faas::BuildResult built =
+          builder.build(std::move(spec), std::nullopt, sim::Rng{1});
+      for (os::Pid burnt = os::kNoPid; pid != os::kNoPid && burnt + 1 < pid;) {
+        burnt = kernel.clone_process(os::kNoPid);
+        kernel.kill_process(burnt);
+        kernel.reap(burnt);
+      }
+      PrebakeConfig cfg;
+      cfg.policy = SnapshotPolicy::warmup(1);
+      return Prebaker{startup}.bake(built.spec, cfg, sim::Rng{2});
+    }
+  };
+  Bed shared;
+  shared.bake(exp::noop_spec());
+  shared.bake(exp::markdown_spec());
+  const BakedSnapshot third = shared.bake(exp::image_resizer_spec());
+  EXPECT_GT(shared.kernel.digest_memo_stats().hits, 0u);
+
+  Bed fresh;
+  const BakedSnapshot alone = fresh.bake(
+      exp::image_resizer_spec(), third.images.decoded().inventory->root_pid);
+  EXPECT_EQ(fresh.kernel.digest_memo_stats().hits, 0u);
+  ASSERT_EQ(alone.images.names(), third.images.names());
+  for (const std::string& name : third.images.names()) {
+    EXPECT_EQ(alone.images.get(name).bytes, third.images.get(name).bytes)
+        << name;
+    EXPECT_EQ(alone.images.get(name).nominal_size,
+              third.images.get(name).nominal_size)
+        << name;
+  }
+}
+
 TEST(SnapshotStore, PutGetHas) {
   SnapshotStore store;
   BakedSnapshot snap;

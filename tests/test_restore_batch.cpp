@@ -146,6 +146,52 @@ TEST_F(RestoreBatchTest, VerifyRunStopsAtFirstMismatch) {
             (per_page * 5.0).nanos_count());
 }
 
+TEST_F(RestoreBatchTest, BufferDigestsFollowTheirBytes) {
+  // BufferSource bytes are mutable, so their digests are never kept, even
+  // when two pids (a process and its fork) ask for one shared buffer: a
+  // dump after a write records the new content, and verifying against the
+  // old digests stops at the first changed page with the usual charge.
+  const std::uint64_t n = 16;
+  std::vector<std::uint8_t> bytes(n * kPageSize);
+  for (std::size_t i = 0; i < bytes.size(); ++i)
+    bytes[i] = static_cast<std::uint8_t>(i * 7 + 1);
+  auto buf = std::make_shared<os::BufferSource>(std::move(bytes));
+  const os::Pid parent = kernel_.clone_process(os::kNoPid);
+  const os::VmaId vma = kernel_.mmap(parent, n * kPageSize,
+                                     os::Prot::kReadWrite, os::VmaKind::kAnon,
+                                     "[data]", buf, false);
+  kernel_.fault_in_all(parent, vma);
+  const os::Pid child = kernel_.clone_process(parent);  // shares `buf`
+
+  const auto dumped_digests = [&](os::Pid pid) {
+    DumpOptions opts;
+    opts.leave_running = true;
+    const DumpResult dump = Dumper{kernel_}.dump(pid, opts);
+    const std::span<const std::uint64_t> d = dump.images.decoded().pages->digests();
+    return std::vector<std::uint64_t>(d.begin(), d.end());
+  };
+  const std::vector<std::uint64_t> before = dumped_digests(parent);
+  ASSERT_EQ(before.size(), n);
+  EXPECT_EQ(dumped_digests(child), before);
+
+  buf->bytes()[5 * kPageSize + 9] ^= 0xFF;  // one write into page 5
+  const std::vector<std::uint64_t> after = dumped_digests(child);
+  ASSERT_EQ(after.size(), n);
+  for (std::uint64_t p = 0; p < n; ++p) {
+    if (p == 5)
+      EXPECT_NE(after[p], before[p]);
+    else
+      EXPECT_EQ(after[p], before[p]) << "page " << p;
+  }
+  EXPECT_EQ(after[5], os::BufferSource{buf->bytes()}.page_digest(5));
+
+  const sim::TimePoint t0 = sim_.now();
+  EXPECT_EQ(kernel_.verify_run(parent, vma, 0, before), 5u);
+  EXPECT_EQ((sim_.now() - t0).nanos_count(),
+            (os::CostModel{}.memcpy_cost(kPageSize) * 5.0).nanos_count());
+  EXPECT_EQ(kernel_.digest_memo_stats().kept_pages, 0u);
+}
+
 TEST_F(RestoreBatchTest, VerifyCostIdentity) {
   // Satellite gate: a verified restore costs exactly the unverified restore
   // plus memcpy_cost(page) * pages_dumped — batching the charge into one
