@@ -15,8 +15,8 @@
 
 #include "exp/calibration.hpp"
 #include "exp/report.hpp"
-#include "faas/load_generator.hpp"
 #include "faas/platform.hpp"
+#include "faas/trace_source.hpp"
 #include "stats/descriptive.hpp"
 
 using namespace prebake;
@@ -25,8 +25,11 @@ namespace {
 
 struct PolicyResult {
   std::string name;
-  faas::OpenLoopResult load;
+  faas::StreamReplayResult load;
   std::uint64_t cold_starts = 0;
+  // Integral of fleet memory over the traffic window (the provider's cost
+  // of keeping replicas alive), in byte-seconds.
+  double mem_byte_seconds = 0.0;
 };
 
 PolicyResult run_policy(const std::string& name, faas::StartMode mode,
@@ -41,18 +44,22 @@ PolicyResult run_policy(const std::string& name, faas::StartMode mode,
   platform.deploy(exp::markdown_spec(), mode, core::SnapshotPolicy::warmup(1));
   if (min_idle > 0) platform.set_min_idle("markdown-render", min_idle);
 
-  // Bursty traffic: the open-loop driver with a modest mean rate but long
-  // inter-burst gaps (rate 2 Hz over 5 min with 30 s idle-timeout means the
-  // pool drains between bursts unless pinned).
-  faas::OpenLoopConfig load;
-  load.function = "markdown-render";
-  load.rate_hz = 2.0;
-  load.duration = sim::Duration::seconds(300);
-  load.seed = 99;
+  // Bursty traffic: open-loop Poisson arrivals with a modest mean rate but
+  // long inter-burst gaps (rate 2 Hz over 5 min with 30 s idle-timeout means
+  // the pool drains between bursts unless pinned).
+  const sim::Duration window = sim::Duration::seconds(300);
+  faas::PoissonTraceSource arrivals{"markdown-render", 2.0, window,
+                                    sim::Rng{99}};
+  const sim::TimePoint start = sim.now();
+  const double mem_at_start = platform.fleet_mem_byte_seconds();
 
   PolicyResult result;
   result.name = name;
-  result.load = run_open_loop(platform, load);
+  faas::StreamReplayOptions options;
+  options.keep_request_metrics = true;
+  result.load = faas::replay_trace_stream(platform, arrivals, options);
+  sim.run_until(start + window);
+  result.mem_byte_seconds = platform.fleet_mem_byte_seconds() - mem_at_start;
   result.cold_starts = platform.stats().cold_starts;
   return result;
 }
@@ -76,7 +83,7 @@ int main() {
     for (const auto& m : r.load.metrics) totals.push_back(m.total.to_millis());
     char mem[32];
     std::snprintf(mem, sizeof mem, "%.1f",
-                  r.load.mem_byte_seconds / (1024.0 * 1024.0 * 1024.0));
+                  r.mem_byte_seconds / (1024.0 * 1024.0 * 1024.0));
     table.add_row({r.name, std::to_string(r.load.responses_ok),
                    std::to_string(r.cold_starts),
                    exp::fmt_ms(stats::percentile(totals, 0.50)),

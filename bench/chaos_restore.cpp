@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "exp/chaos.hpp"
+#include "exp/cluster.hpp"
 #include "exp/report.hpp"
 #include "gate.hpp"
 
@@ -44,28 +44,35 @@ os::FaultPlan plan_at(double r, std::uint64_t seed) {
 constexpr double kRates[] = {0.0, 0.01, 0.05, 0.10};
 constexpr std::size_t kDefaultCell = 2;  // the default 5% fault rate
 
-exp::ChaosScenarioResult run_rate(double rate, std::uint64_t seed) {
-  exp::ChaosScenarioConfig cfg;
+// The cluster scenario with locality placement and the resilience policy
+// under test: three restore attempts 5 ms apart, quarantine after three
+// consecutive failures, crashed nodes back after 30 s.
+exp::ClusterScenarioResult run_rate(double rate, std::uint64_t seed) {
+  exp::ClusterScenarioConfig cfg;
   cfg.seed = seed;
+  cfg.policy = faas::PlacementPolicy::kSnapshotLocality;
   cfg.faults = plan_at(rate, seed);
-  return exp::run_chaos_scenario(cfg);
+  cfg.restore_max_attempts = 3;
+  cfg.quarantine_threshold = 3;
+  cfg.node_recovery_delay = sim::Duration::seconds(30);
+  return exp::run_cluster_scenario(cfg);
 }
 
-using Outcome = bench::Outcome<double, exp::ChaosScenarioResult>;
+using Outcome = bench::Outcome<double, exp::ClusterScenarioResult>;
 
 void json_row(const Outcome& o, bench::Row& row) {
-  const exp::ChaosScenarioResult& r = o.r;
+  const exp::ClusterScenarioResult& r = o.r;
   row.add("fault_rate", "%.3f", o.cell)
       .add("requests", "%" PRIu64, r.requests)
       .add("answered", "%" PRIu64, r.answered)
       .add("ok", "%" PRIu64, r.responses_ok)
       .add("availability", "%.4f", r.availability)
       .add("fallback_rate", "%.4f", r.fallback_rate)
-      .add("restore_retries", "%" PRIu64, r.restore_retries)
-      .add("quarantines", "%" PRIu64, r.snapshot_quarantines)
-      .add("rebakes", "%" PRIu64, r.snapshot_rebakes)
-      .add("node_crashes", "%" PRIu64, r.node_crashes)
-      .add("requests_requeued", "%" PRIu64, r.requests_requeued)
+      .add("restore_retries", "%" PRIu64, r.stats.restore_retries)
+      .add("quarantines", "%" PRIu64, r.stats.snapshot_quarantines)
+      .add("rebakes", "%" PRIu64, r.stats.snapshot_rebakes)
+      .add("node_crashes", "%" PRIu64, r.stats.node_crashes)
+      .add("requests_requeued", "%" PRIu64, r.stats.requests_requeued)
       .add("faults_injected", "%" PRIu64, r.faults_injected)
       .add("total_p50_ms", "%.2f", r.total_p50_ms)
       .add("total_p95_ms", "%.2f", r.total_p95_ms)
@@ -80,10 +87,10 @@ void report(const std::vector<Outcome>& outcomes) {
     table.add_row({exp::fmt_percent(rate), std::to_string(r.requests),
                    exp::fmt_percent(r.availability),
                    exp::fmt_percent(r.fallback_rate),
-                   std::to_string(r.restore_retries),
-                   std::to_string(r.snapshot_quarantines),
-                   std::to_string(r.snapshot_rebakes),
-                   std::to_string(r.node_crashes),
+                   std::to_string(r.stats.restore_retries),
+                   std::to_string(r.stats.snapshot_quarantines),
+                   std::to_string(r.stats.snapshot_rebakes),
+                   std::to_string(r.stats.node_crashes),
                    exp::fmt_ms(r.total_p95_ms), exp::fmt_ms(r.total_p99_ms)});
   std::printf("%s\n", table.to_string().c_str());
 
@@ -120,7 +127,7 @@ int main(int argc, char** argv) {
       argc, argv, "chaos_restore", bench::kCheck | bench::kSeed,
       "BENCH_chaos_restore.json");
   std::printf("== Chaos: resilient restore under injected faults ==\n\n");
-  return bench::run<double, exp::ChaosScenarioResult>(
+  return bench::run<double, exp::ClusterScenarioResult>(
       flags,
       {.cells = kRates,
        .run_cell = [&](double rate) { return run_rate(rate, flags.seed); },

@@ -49,7 +49,7 @@ void json_row(const Outcome& o, bench::Row& row) {
   row.add("policy", "\"%s\"", faas::placement_policy_name(o.cell))
       .add("requests", "%" PRIu64, r.requests)
       .add("ok", "%" PRIu64, r.responses_ok)
-      .add("cold_starts", "%" PRIu64, r.cold_starts)
+      .add("cold_starts", "%" PRIu64, r.stats.cold_starts)
       .add("cold_startup_p50_ms", "%.2f", r.cold_startup_p50_ms)
       .add("cold_startup_p95_ms", "%.2f", r.cold_startup_p95_ms)
       .add("total_p50_ms", "%.2f", r.total_p50_ms)
@@ -68,7 +68,8 @@ void report(const std::vector<Outcome>& outcomes) {
     const std::uint64_t lookups = r.snapshot_hits + r.snapshot_misses;
     table.add_row(
         {faas::placement_policy_name(policy), std::to_string(r.requests),
-         std::to_string(r.cold_starts), exp::fmt_ms(r.cold_startup_p50_ms),
+         std::to_string(r.stats.cold_starts),
+         exp::fmt_ms(r.cold_startup_p50_ms),
          exp::fmt_ms(r.cold_startup_p95_ms), exp::fmt_ms(r.total_p95_ms),
          exp::fmt_percent(lookups == 0 ? 0.0
                                        : static_cast<double>(r.snapshot_hits) /
@@ -82,12 +83,12 @@ void report(const std::vector<Outcome>& outcomes) {
   exp::TextTable nodes{{"Node", "Placed", "Hits", "Misses", "Evicted pages",
                         "Registry MiB", "Busy"}};
   for (const exp::ClusterNodeReport& n : loc.nodes)
-    nodes.add_row({n.name, std::to_string(n.replicas_placed),
-                   std::to_string(n.snapshot_hits),
-                   std::to_string(n.snapshot_misses),
+    nodes.add_row({n.name, std::to_string(n.stats.replicas_placed),
+                   std::to_string(n.stats.snapshot_hits),
+                   std::to_string(n.stats.snapshot_misses),
                    std::to_string(n.store_evicted_pages),
-                   exp::fmt_mib(n.remote_bytes_fetched),
-                   exp::fmt_ms(n.busy_ms, 1)});
+                   exp::fmt_mib(n.stats.remote_bytes_fetched),
+                   exp::fmt_ms(n.stats.busy.to_millis(), 1)});
   std::printf("%s\n", nodes.to_string().c_str());
 
   const exp::ClusterScenarioResult& worst_fit = outcomes[0].r;

@@ -105,7 +105,7 @@ CellResult run_cell(const Cell& cell) {
     cfg.store_root = "/registry/";
     if (layered) cfg.split_base = &base;
     faas::BuildResult built = builder.build(function_spec(cell.kind, i), cfg,
-                                            sim::Rng{100 + i});
+                                            sim::Rng(100 + i));
     snaps.push_back(std::move(*built.snapshot));
     out.payload_bytes += snaps.back().stats.payload_bytes;
     out.shared_pages += snaps.back().shared_with_base;

@@ -53,12 +53,12 @@ void json_row(const Outcome& o, bench::Row& row) {
       .add("max_rounds", "%d", o.cell.rounds)
       .add("requests", "%" PRIu64, r.requests)
       .add("answered", "%" PRIu64, r.answered)
-      .add("rejected", "%" PRIu64, r.rejected)
-      .add("migrations_completed", "%" PRIu64, r.migrations_completed)
-      .add("migrations_aborted", "%" PRIu64, r.migrations_aborted)
-      .add("rounds", "%" PRIu64, r.migration_rounds)
-      .add("precopy_bytes", "%" PRIu64, r.migration_precopy_bytes)
-      .add("final_bytes", "%" PRIu64, r.migration_final_bytes)
+      .add("rejected", "%" PRIu64, r.stats.rejected)
+      .add("migrations_completed", "%" PRIu64, r.stats.migrations_completed)
+      .add("migrations_aborted", "%" PRIu64, r.stats.migrations_aborted)
+      .add("rounds", "%" PRIu64, r.stats.migration_rounds)
+      .add("precopy_bytes", "%" PRIu64, r.stats.migration_precopy_bytes)
+      .add("final_bytes", "%" PRIu64, r.stats.migration_final_bytes)
       .add("downtime_ms", "%.3f", r.downtime_ms)
       .add("cold_restore_ms", "%.3f", r.cold_restore_ms)
       .add("warmth_migrated", "%" PRIu64, r.warmth_replicas_migrated)
@@ -72,12 +72,12 @@ void report(const std::vector<Outcome>& outcomes) {
   for (const auto& [cell, r] : outcomes) {
     char final_kib[32];
     std::snprintf(final_kib, sizeof final_kib, "%.1f KiB",
-                  static_cast<double>(r.migration_final_bytes) / 1024.0);
+                  static_cast<double>(r.stats.migration_final_bytes) / 1024.0);
     table.add_row(
         {std::to_string(cell.dirty_pages), std::to_string(cell.rounds),
          std::to_string(r.requests), std::to_string(r.requests - r.answered),
-         std::to_string(r.migrations_completed),
-         exp::fmt_mib(r.migration_precopy_bytes), final_kib,
+         std::to_string(r.stats.migrations_completed),
+         exp::fmt_mib(r.stats.migration_precopy_bytes), final_kib,
          exp::fmt_ms(r.downtime_ms), exp::fmt_ms(r.cold_restore_ms)});
   }
   std::printf("%s\n", table.to_string().c_str());
@@ -89,12 +89,12 @@ void report(const std::vector<Outcome>& outcomes) {
 
 void check_gates(const std::vector<Outcome>& outcomes, bench::Gates& g) {
   for (const auto& [cell, r] : outcomes) {
-    g.check(r.answered == r.requests && r.rejected == 0,
+    g.check(r.answered == r.requests && r.stats.rejected == 0,
             "dirty=%" PRIu64 " rounds=%d lost %" PRIu64 " of %" PRIu64
             " requests (%" PRIu64 " rejected) under a warm drain",
             cell.dirty_pages, cell.rounds, r.requests - r.answered,
-            r.requests, r.rejected);
-    g.check(r.migrations_completed > 0,
+            r.requests, r.stats.rejected);
+    g.check(r.stats.migrations_completed > 0,
             "dirty=%" PRIu64 " rounds=%d completed no migration",
             cell.dirty_pages, cell.rounds);
   }

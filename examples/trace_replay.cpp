@@ -11,6 +11,7 @@
 
 #include "exp/calibration.hpp"
 #include "faas/trace.hpp"
+#include "faas/trace_source.hpp"
 #include "stats/descriptive.hpp"
 
 using namespace prebake;
@@ -18,7 +19,7 @@ using namespace prebake;
 namespace {
 
 struct RunResult {
-  faas::TraceReplayResult replay;
+  faas::StreamReplayResult replay;
   std::uint64_t cold_starts = 0;
 };
 
@@ -32,8 +33,11 @@ RunResult run(const std::vector<faas::TraceEvent>& events,
   platform.resources().add_node("node-1", 16ull << 30);
   platform.deploy(exp::markdown_spec(), mode, core::SnapshotPolicy::warmup(1));
 
+  faas::VectorTraceSource source{events};
+  faas::StreamReplayOptions options;
+  options.keep_request_metrics = true;
   RunResult out;
-  out.replay = faas::replay_trace(platform, events);
+  out.replay = faas::replay_trace_stream(platform, source, options);
   out.cold_starts = platform.stats().cold_starts;
   return out;
 }

@@ -1,9 +1,10 @@
 #include "exp/cluster.hpp"
 
-#include <memory>
+#include <algorithm>
 
 #include "exp/calibration.hpp"
 #include "exp/run.hpp"
+#include "faas/trace_source.hpp"
 
 namespace prebake::exp {
 
@@ -25,6 +26,11 @@ ClusterScenarioResult detail::run_cluster_impl(
   cfg.page_store = config.page_store;
   cfg.node_page_store_bytes = config.node_page_store_bytes;
   cfg.aggregate_request_log = true;
+  cfg.restore_max_attempts = config.restore_max_attempts;
+  cfg.restore_retry_backoff = config.restore_retry_backoff;
+  cfg.restore_deadline = config.restore_deadline;
+  cfg.quarantine_threshold = config.quarantine_threshold;
+  cfg.node_recovery_delay = config.node_recovery_delay;
   faas::Platform platform{kernel, testbed_runtime(), cfg, config.seed};
   platform.resources().set_policy(config.policy);
   for (std::uint32_t i = 0; i < config.nodes; ++i)
@@ -33,56 +39,48 @@ ClusterScenarioResult detail::run_cluster_impl(
 
   const rt::FunctionSpec specs[] = {noop_spec(), markdown_spec(),
                                     image_resizer_spec()};
-  std::vector<std::string> functions;
-  for (const rt::FunctionSpec& spec : specs) {
-    functions.push_back(spec.name);
+  for (const rt::FunctionSpec& spec : specs)
     platform.deploy(spec, config.mode, core::SnapshotPolicy::warmup(1));
+
+  // Arm the injector only after the deploy-time bakes: the chaos under
+  // study is the restore/serving path, not the verified build step.
+  kernel.faults().configure(config.faults);
+
+  // An independent Poisson stream per function, merged by arrival time. The
+  // stable sort puts the lower function index first on a tie.
+  std::vector<faas::TraceEvent> arrivals;
+  const sim::Rng rng{config.seed};
+  for (std::size_t f = 0; f < std::size(specs); ++f) {
+    faas::PoissonTraceSource stream{specs[f].name, config.rate_hz,
+                                    config.duration, rng.child(f + 1)};
+    for (faas::TraceEvent& e : faas::drain(stream))
+      arrivals.push_back(std::move(e));
   }
-
-  struct Counters {
-    std::uint64_t expected = 0;
-    std::uint64_t answered = 0;
-    std::uint64_t ok = 0;
-  };
-  auto counters = std::make_shared<Counters>();
-
-  // Independent Poisson arrival stream per function, all interleaved on the
-  // one simulation (unlike run_open_loop, which drives a single function).
-  sim::Rng rng{config.seed};
+  std::stable_sort(arrivals.begin(), arrivals.end(),
+                   [](const faas::TraceEvent& a, const faas::TraceEvent& b) {
+                     return a.at < b.at;
+                   });
+  faas::VectorTraceSource source{std::move(arrivals)};
   const sim::TimePoint start = sim.now();
-  const sim::TimePoint end = start + config.duration;
-  for (std::size_t f = 0; f < functions.size(); ++f) {
-    sim::Rng stream = rng.child(f + 1);
-    const funcs::Request req = funcs::sample_request(
-        platform.registry().get(functions[f]).spec.handler_id);
-    sim::TimePoint at = start;
-    while (true) {
-      at += sim::Duration::seconds_f(stream.exponential(1.0 / config.rate_hz));
-      if (at >= end) break;
-      ++counters->expected;
-      sim.schedule_at(at, [counters, &platform, fn = functions[f], req] {
-        platform.invoke(
-            fn, req,
-            [counters](const funcs::Response& res, const faas::RequestMetrics&) {
-              ++counters->answered;
-              if (res.ok()) ++counters->ok;
-            });
-      });
-    }
-  }
-
-  while ((counters->answered < counters->expected || sim.now() < end) &&
-         sim.step()) {
-  }
+  const faas::StreamReplayResult rep =
+      faas::replay_trace_stream(platform, source);
+  detail::finish_window(sim, start + config.duration,
+                        config.node_recovery_delay);
 
   ClusterScenarioResult out;
-  const faas::PlatformStats& stats = platform.stats();
-  out.requests = stats.invocations;
-  out.responses_ok = counters->ok;
-  out.rejected = stats.rejected;
-  out.cold_starts = stats.cold_starts;
-  out.restore_fallbacks = stats.restore_fallbacks;
-  out.replicas_started = stats.replicas_started;
+  out.requests = rep.events;
+  out.responses_ok = rep.responses_ok;
+  out.answered = rep.responses_ok + rep.responses_rejected;
+  out.stats = platform.stats();
+  out.availability = out.requests == 0
+                         ? 1.0
+                         : static_cast<double>(out.responses_ok) /
+                               static_cast<double>(out.requests);
+  out.fallback_rate =
+      out.stats.replicas_started == 0
+          ? 0.0
+          : static_cast<double>(out.stats.restore_fallbacks) /
+                static_cast<double>(out.stats.replicas_started);
 
   const faas::RequestAggregate& agg = platform.request_aggregate();
   out.total_p50_ms = agg.total_ms.percentile(0.50);
@@ -92,38 +90,38 @@ ClusterScenarioResult detail::run_cluster_impl(
   out.cold_startup_p95_ms = agg.cold_startup_ms.percentile(0.95);
 
   for (const faas::WorkerNode& n : platform.resources().nodes()) {
-    ClusterNodeReport report;
-    report.id = n.id();
-    report.name = n.name();
-    report.state = faas::node_state_name(n.state());
-    report.replicas = n.replicas();
-    report.mem_used = n.mem_used();
-    report.mem_capacity = n.mem_capacity();
-    report.replicas_placed = n.stats().replicas_placed;
-    report.snapshot_hits = n.stats().snapshot_hits;
-    report.snapshot_misses = n.stats().snapshot_misses;
-    report.remote_bytes_fetched = n.stats().remote_bytes_fetched;
-    report.busy_ms = n.stats().busy.to_millis();
-    report.store_hit_pages = n.stats().store_hit_pages;
-    report.store_delta_bytes = n.stats().store_delta_bytes;
-    report.template_clones = n.stats().template_clones;
-    report.store_pages = n.store().stored_pages();
-    report.store_evicted_pages = n.store().stats().evicted_pages;
-    report.store_templates = n.store().template_count();
-    report.migrations_out = n.stats().migrations_out;
-    report.migrations_in = n.stats().migrations_in;
-    report.migrations_aborted = n.stats().migrations_aborted;
-    report.warmth_replicas_migrated = n.stats().warmth_replicas_migrated;
-    report.warmth_replicas_destroyed = n.stats().warmth_replicas_destroyed;
-    out.snapshot_hits += report.snapshot_hits;
-    out.snapshot_misses += report.snapshot_misses;
-    out.remote_bytes_fetched += report.remote_bytes_fetched;
-    out.store_hit_pages += report.store_hit_pages;
-    out.store_delta_bytes += report.store_delta_bytes;
-    out.template_clones += report.template_clones;
-    out.nodes.push_back(std::move(report));
+    const faas::NodeStats& ns = n.stats();
+    out.nodes.push_back({.id = n.id(),
+                         .name = n.name(),
+                         .state = faas::node_state_name(n.state()),
+                         .replicas = n.replicas(),
+                         .mem_used = n.mem_used(),
+                         .mem_capacity = n.mem_capacity(),
+                         .stats = ns,
+                         .store_pages = n.store().stored_pages(),
+                         .store_evicted_pages = n.store().stats().evicted_pages,
+                         .store_templates = n.store().template_count()});
+    out.snapshot_hits += ns.snapshot_hits;
+    out.snapshot_misses += ns.snapshot_misses;
+    out.remote_bytes_fetched += ns.remote_bytes_fetched;
+    out.store_hit_pages += ns.store_hit_pages;
+    out.store_delta_bytes += ns.store_delta_bytes;
+    out.template_clones += ns.template_clones;
   }
 
+  const faults::Injector& inj = kernel.faults();
+  out.faults_injected = inj.total_fired();
+  for (std::size_t s = 0; s < faults::kFaultSiteCount; ++s) {
+    const auto site = static_cast<faults::FaultSite>(s);
+    out.fired_by_site.emplace_back(faults::fault_site_name(site),
+                                   inj.fired(site));
+  }
+  out.fault_trace = inj.trace();
+  for (const auto& [fn, health] : platform.snapshot_health())
+    out.snapshot_health.push_back({fn, health.consecutive_failures,
+                                   health.quarantined, health.rebakes});
+
+  root.attr("faults_injected", out.faults_injected);
   root.end();
   if (trace != nullptr) {
     trace->absorb(tr);

@@ -4,13 +4,23 @@
 // policy: how often does a restore land on a node that already holds the
 // function's pages (local, page-cached reads) versus one that must pull
 // them over the network first?
+//
+// With a fault plan the same run is the chaos scenario (DESIGN.md §6d): the
+// plan is injected into the restore pipeline (os/faults.hpp) and the
+// resilience fields turn on the platform's per-start retries, restore
+// deadline, Vanilla fallback, snapshot quarantine + re-bake and node-crash
+// recovery. The question that sweep answers: how much fault pressure can
+// the prebaking path absorb before requests are lost or latency degrades to
+// the Vanilla baseline?
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "faas/platform.hpp"
+#include "os/faults.hpp"
 
 namespace prebake::exp {
 
@@ -33,6 +43,19 @@ struct ClusterScenarioConfig {
   double rate_hz = 0.5;  // per-function Poisson arrival rate
   sim::Duration duration = sim::Duration::seconds(600);
   std::uint64_t seed = 42;
+
+  // The fault mix, armed after deploy: the build-time bake is verified
+  // out-of-band, chaos targets the restore path. An all-zero plan fires
+  // nothing.
+  os::FaultPlan faults;
+  // Resilience policy (faas::PlatformConfig's fields). The defaults are the
+  // platform's, which leave a plain run untouched: one restore attempt, no
+  // deadline, no quarantine, and a crashed node stays down.
+  int restore_max_attempts = 1;
+  sim::Duration restore_retry_backoff = sim::Duration::millis(5);
+  sim::Duration restore_deadline{};  // zero = unbounded
+  std::uint32_t quarantine_threshold = 0;
+  sim::Duration node_recovery_delay{};
 };
 
 struct ClusterNodeReport {
@@ -42,33 +65,23 @@ struct ClusterNodeReport {
   std::uint32_t replicas = 0;  // resident at end of run
   std::uint64_t mem_used = 0;
   std::uint64_t mem_capacity = 0;
-  std::uint64_t replicas_placed = 0;
-  std::uint64_t snapshot_hits = 0;
-  std::uint64_t snapshot_misses = 0;
-  std::uint64_t remote_bytes_fetched = 0;
-  double busy_ms = 0.0;
-  // Page-store accounting.
-  std::uint64_t store_hit_pages = 0;
-  std::uint64_t store_delta_bytes = 0;
-  std::uint64_t template_clones = 0;
-  std::uint64_t store_pages = 0;       // resident records at end of run
+  faas::NodeStats stats;
+  // Page-store state at end of run.
+  std::uint64_t store_pages = 0;  // resident records
   std::uint64_t store_evicted_pages = 0;
   std::size_t store_templates = 0;
-  // Live-migration / warmth ledger (zero unless migrations ran, §6i).
-  std::uint64_t migrations_out = 0;
-  std::uint64_t migrations_in = 0;
-  std::uint64_t migrations_aborted = 0;
-  std::uint64_t warmth_replicas_migrated = 0;
-  std::uint64_t warmth_replicas_destroyed = 0;
 };
 
 struct ClusterScenarioResult {
-  std::uint64_t requests = 0;
+  std::uint64_t requests = 0;  // arrivals issued
+  std::uint64_t answered = 0;  // callbacks delivered (any status)
   std::uint64_t responses_ok = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t cold_starts = 0;
-  std::uint64_t restore_fallbacks = 0;
-  std::uint64_t replicas_started = 0;
+  // responses_ok / requests: the availability the chaos --check gate
+  // asserts. answered < requests means requests were lost outright.
+  double availability = 0.0;
+  // restore_fallbacks / replicas_started (0 when nothing started).
+  double fallback_rate = 0.0;
+  faas::PlatformStats stats;  // the platform's counters at end of run
   // From the platform's bounded aggregate (the scenario always runs with
   // aggregate_request_log on).
   double total_p50_ms = 0.0;
@@ -76,6 +89,7 @@ struct ClusterScenarioResult {
   double total_p99_ms = 0.0;
   double cold_startup_p50_ms = 0.0;
   double cold_startup_p95_ms = 0.0;
+  // Summed over nodes.
   std::uint64_t snapshot_hits = 0;
   std::uint64_t snapshot_misses = 0;
   std::uint64_t remote_bytes_fetched = 0;
@@ -83,6 +97,22 @@ struct ClusterScenarioResult {
   std::uint64_t store_delta_bytes = 0;
   std::uint64_t template_clones = 0;
   std::vector<ClusterNodeReport> nodes;
+
+  // Injector accounting: (site name, times fired), plus the full firing
+  // trace — the determinism tests compare traces across runs/thread counts.
+  std::uint64_t faults_injected = 0;
+  std::vector<std::pair<std::string, std::uint64_t>> fired_by_site;
+  std::vector<faults::Injector::Event> fault_trace;
+
+  // End-of-run circuit-breaker state per function that ever failed a
+  // restore (healthy functions have no row).
+  struct HealthRow {
+    std::string function;
+    std::uint32_t consecutive_failures = 0;
+    bool quarantined = false;
+    std::uint32_t rebakes = 0;
+  };
+  std::vector<HealthRow> snapshot_health;
 };
 
 ClusterScenarioResult run_cluster_scenario(const ClusterScenarioConfig& config);

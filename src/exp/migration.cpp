@@ -4,6 +4,7 @@
 
 #include "exp/calibration.hpp"
 #include "exp/run.hpp"
+#include "faas/trace_source.hpp"
 
 namespace prebake::exp {
 
@@ -92,37 +93,8 @@ MigrationScenarioResult detail::run_migration_impl(
   // are verified elsewhere; the chaos under study targets the migration.
   kernel.faults().configure(config.faults);
 
-  struct Counters {
-    std::uint64_t expected = 0;
-    std::uint64_t answered = 0;
-    std::uint64_t ok = 0;
-  };
-  auto counters = std::make_shared<Counters>();
-
-  sim::Rng rng{config.seed};
-  const sim::TimePoint start = sim.now();
-  const sim::TimePoint end = start + config.duration;
-  {
-    sim::Rng stream = rng.child(1);
-    const funcs::Request req =
-        funcs::sample_request(platform.registry().get(fn).spec.handler_id);
-    sim::TimePoint at = start;
-    while (true) {
-      at += sim::Duration::seconds_f(stream.exponential(1.0 / config.rate_hz));
-      if (at >= end) break;
-      ++counters->expected;
-      sim.schedule_at(at, [counters, &platform, fn, req] {
-        platform.invoke(
-            fn, req,
-            [counters](const funcs::Response& res, const faas::RequestMetrics&) {
-              ++counters->answered;
-              if (res.ok()) ++counters->ok;
-            });
-      });
-    }
-  }
-
   // The move itself, mid-run.
+  const sim::TimePoint start = sim.now();
   auto source_node = std::make_shared<faas::NodeId>(faas::kNoNode);
   sim.schedule_at(start + config.migrate_at,
                   [&platform, source_node, fn, config] {
@@ -137,47 +109,27 @@ MigrationScenarioResult detail::run_migration_impl(
                     }
                   });
 
-  // Pump to completion with the same livelock horizon as the chaos
-  // scenario: extreme fault plans must surface as measurable request loss,
-  // not as a run that never terminates.
-  const sim::TimePoint horizon = end + sim::Duration::seconds(600);
-  while ((counters->answered < counters->expected || sim.now() < end) &&
-         sim.now() < horizon && sim.step()) {
-  }
-  if (config.node_recovery_delay > sim::Duration{}) {
-    const sim::TimePoint settle = sim.now() + config.node_recovery_delay;
-    while (sim.now() < settle && sim.step()) {
-    }
-  }
+  faas::PoissonTraceSource arrivals{fn, config.rate_hz, config.duration,
+                                    sim::Rng{config.seed}.child(1)};
+  const faas::StreamReplayResult rep =
+      faas::replay_trace_stream(platform, arrivals);
+  detail::finish_window(sim, start + config.duration,
+                        config.node_recovery_delay);
 
   MigrationScenarioResult out;
-  out.requests = counters->expected;
-  out.answered = counters->answered;
-  out.responses_ok = counters->ok;
-  const faas::PlatformStats& stats = platform.stats();
-  out.rejected = stats.rejected;
+  out.requests = rep.events;
+  out.responses_ok = rep.responses_ok;
+  out.answered = rep.responses_ok + rep.responses_rejected;
   out.availability = out.requests == 0
                          ? 1.0
                          : static_cast<double>(out.responses_ok) /
                                static_cast<double>(out.requests);
-  out.migrations_started = stats.migrations_started;
-  out.migrations_completed = stats.migrations_completed;
-  out.migrations_aborted = stats.migrations_aborted;
-  out.migration_rounds = stats.migration_rounds;
-  out.migration_full_dumps = stats.migration_full_dumps;
-  out.migration_dest_retries = stats.migration_dest_retries;
-  out.migration_precopy_bytes = stats.migration_precopy_bytes;
-  out.migration_final_bytes = stats.migration_final_bytes;
+  out.stats = platform.stats();
   out.downtime_ms =
-      stats.migrations_completed == 0
+      out.stats.migrations_completed == 0
           ? 0.0
-          : stats.migration_downtime.to_millis() /
-                static_cast<double>(stats.migrations_completed);
-  out.evacuations = stats.evacuations;
-  out.rebalance_moves = stats.rebalance_moves;
-  out.node_crashes = stats.node_crashes;
-  out.cold_starts = stats.cold_starts;
-  out.replicas_started = stats.replicas_started;
+          : out.stats.migration_downtime.to_millis() /
+                static_cast<double>(out.stats.migrations_completed);
   for (const faas::WorkerNode& n : platform.resources().nodes()) {
     out.warmth_replicas_migrated += n.stats().warmth_replicas_migrated;
     out.warmth_replicas_destroyed += n.stats().warmth_replicas_destroyed;
@@ -203,7 +155,7 @@ MigrationScenarioResult detail::run_migration_impl(
   // it never perturbs (and is never perturbed by) the main run.
   out.cold_restore_ms = cold_restore_baseline_ms(config, spec);
 
-  root.attr("migrations_completed", out.migrations_completed);
+  root.attr("migrations_completed", out.stats.migrations_completed);
   root.end();
   if (trace != nullptr) {
     trace->absorb(tr);

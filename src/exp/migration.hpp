@@ -65,33 +65,18 @@ struct MigrationScenarioConfig {
 };
 
 struct MigrationScenarioResult {
-  std::uint64_t requests = 0;
-  std::uint64_t answered = 0;
+  std::uint64_t requests = 0;  // arrivals issued
+  std::uint64_t answered = 0;  // callbacks delivered (any status)
   std::uint64_t responses_ok = 0;
-  std::uint64_t rejected = 0;
   double availability = 0.0;  // responses_ok / requests
 
-  // Migration accounting (mirrors PlatformStats).
-  std::uint64_t migrations_started = 0;
-  std::uint64_t migrations_completed = 0;
-  std::uint64_t migrations_aborted = 0;
-  std::uint64_t migration_rounds = 0;
-  std::uint64_t migration_full_dumps = 0;
-  std::uint64_t migration_dest_retries = 0;
-  std::uint64_t migration_precopy_bytes = 0;
-  std::uint64_t migration_final_bytes = 0;
+  faas::PlatformStats stats;  // the platform's counters at end of run
   // Mean cutover blackout per completed migration (0 when none completed).
   double downtime_ms = 0.0;
   // Baseline: start-up latency of a cold re-restore of the same function
   // from the registry on an otherwise idle node (what destroying the warm
   // replica instead of migrating it would cost the next request).
   double cold_restore_ms = 0.0;
-
-  std::uint64_t evacuations = 0;
-  std::uint64_t rebalance_moves = 0;
-  std::uint64_t node_crashes = 0;
-  std::uint64_t cold_starts = 0;
-  std::uint64_t replicas_started = 0;
 
   // Warmth ledger summed over nodes: replicas whose warm state survived the
   // move vs. replicas/template pages destroyed by drain or failure.

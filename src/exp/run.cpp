@@ -8,7 +8,6 @@ const char* scenario_kind_name(ScenarioKind kind) {
   switch (kind) {
     case ScenarioKind::kStartup: return "startup";
     case ScenarioKind::kCluster: return "cluster";
-    case ScenarioKind::kChaos: return "chaos";
     case ScenarioKind::kScale: return "scale";
     case ScenarioKind::kMigration: return "migration";
   }
@@ -30,14 +29,6 @@ ScenarioSpec ScenarioSpec::from(const ClusterScenarioConfig& config) {
   spec.kind = ScenarioKind::kCluster;
   spec.seed = config.seed;
   spec.cluster = config;
-  return spec;
-}
-
-ScenarioSpec ScenarioSpec::from(const ChaosScenarioConfig& config) {
-  ScenarioSpec spec;
-  spec.kind = ScenarioKind::kChaos;
-  spec.seed = config.seed;
-  spec.chaos = config;
   return spec;
 }
 
@@ -77,12 +68,6 @@ ScenarioRun run(const ScenarioSpec& spec) {
       out.cluster = detail::run_cluster_impl(cfg, trace);
       return out;
     }
-    case ScenarioKind::kChaos: {
-      ChaosScenarioConfig cfg = spec.chaos;
-      cfg.seed = spec.seed;
-      out.chaos = detail::run_chaos_impl(cfg, trace);
-      return out;
-    }
     case ScenarioKind::kScale: {
       ScaleScenarioConfig cfg = spec.scale;
       cfg.seed = spec.seed;
@@ -98,6 +83,16 @@ ScenarioRun run(const ScenarioSpec& spec) {
     }
   }
   throw std::invalid_argument{"exp::run: bad scenario kind"};
+}
+
+void detail::finish_window(sim::Simulation& sim, sim::TimePoint end,
+                           sim::Duration settle) {
+  while (sim.now() < end && sim.step()) {
+  }
+  if (settle <= sim::Duration{}) return;
+  const sim::TimePoint until = sim.now() + settle;
+  while (sim.now() < until && sim.step()) {
+  }
 }
 
 }  // namespace prebake::exp

@@ -53,62 +53,4 @@ LoadGenResult run_load(Platform& platform, const LoadGenConfig& config) {
   return std::move(state->result);
 }
 
-OpenLoopResult run_open_loop(Platform& platform, const OpenLoopConfig& config) {
-  struct State {
-    OpenLoopResult result;
-    std::uint64_t expected = 0;
-    std::uint64_t answered = 0;
-  };
-  auto state = std::make_shared<State>();
-  sim::Simulation& sim = platform.kernel().sim();
-  sim::Rng rng{config.seed};
-  const funcs::Request req =
-      funcs::sample_request(platform.registry().get(config.function).spec.handler_id);
-  const sim::TimePoint start = sim.now();
-  const sim::TimePoint end = start + config.duration;
-
-  // Pre-draw the Poisson arrival times.
-  sim::TimePoint at = start;
-  while (true) {
-    at += sim::Duration::seconds_f(rng.exponential(1.0 / config.rate_hz));
-    if (at >= end) break;
-    ++state->expected;
-    sim.schedule_at(at, [state, &platform, config, req] {
-      platform.invoke(config.function, req,
-                      [state](const funcs::Response& res, const RequestMetrics& m) {
-                        ++state->answered;
-                        if (res.ok()) {
-                          state->result.metrics.push_back(m);
-                          ++state->result.responses_ok;
-                        } else {
-                          ++state->result.responses_rejected;
-                        }
-                      });
-    });
-  }
-
-  // Memory sampler: rectangle-rule integral of the platform's memory use.
-  struct Sampler {
-    Platform* platform;
-    State* state;
-    sim::Duration period;
-    sim::TimePoint end;
-    void operator()() const {
-      state->result.mem_byte_seconds +=
-          static_cast<double>(platform->resources().total_mem_used()) *
-          period.to_seconds();
-      if (platform->kernel().sim().now() + period <= end)
-        platform->kernel().sim().schedule_in(period, *this);
-    }
-  };
-  sim.schedule_in(config.mem_sample_period,
-                  Sampler{&platform, state.get(), config.mem_sample_period, end});
-
-  // Run until every arrival has been answered and the window has elapsed.
-  while ((state->answered < state->expected || sim.now() < end) && sim.step()) {
-  }
-  state->result.makespan = sim.now() - start;
-  return std::move(state->result);
-}
-
 }  // namespace prebake::faas

@@ -1,6 +1,7 @@
 // Load generator matching the paper's methodology (Section 4.1): start the
 // function replica, hold the first request until the replica becomes ready,
-// then send requests sequentially at a constant rate.
+// then send requests sequentially at a constant rate. Open-loop traffic
+// replays through faas::replay_trace_stream (faas/trace_source.hpp).
 #pragma once
 
 #include <string>
@@ -25,28 +26,5 @@ struct LoadGenResult {
 
 // Drives the platform inside its simulation until all requests complete.
 LoadGenResult run_load(Platform& platform, const LoadGenConfig& config);
-
-// Open-loop Poisson arrivals (requests fire regardless of responses — the
-// regime where cold starts hurt, since bursts outrun the replica pool).
-struct OpenLoopConfig {
-  std::string function;
-  double rate_hz = 10.0;           // mean arrival rate
-  sim::Duration duration = sim::Duration::seconds(60);
-  std::uint64_t seed = 1;
-  // Sampling period for the resource-usage (memory) integral.
-  sim::Duration mem_sample_period = sim::Duration::millis(500);
-};
-
-struct OpenLoopResult {
-  std::vector<RequestMetrics> metrics;
-  std::uint64_t responses_ok = 0;
-  std::uint64_t responses_rejected = 0;
-  // Integral of platform memory usage over the run (the provider's cost of
-  // keeping replicas alive), in byte-seconds.
-  double mem_byte_seconds = 0.0;
-  sim::Duration makespan;
-};
-
-OpenLoopResult run_open_loop(Platform& platform, const OpenLoopConfig& config);
 
 }  // namespace prebake::faas

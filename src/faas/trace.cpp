@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <memory>
 #include <numbers>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -80,11 +78,8 @@ std::vector<TraceEvent> generate_poisson_trace(const std::string& function,
   // Materializing wrapper over the streaming source; both draw the
   // identical RNG sequence, so a streamed and a materialized trace from
   // the same seed are the same trace (pinned by the TraceStream suite).
-  PoissonTraceSource source{function, rate_hz, duration, seed};
-  std::vector<TraceEvent> events;
-  while (std::optional<TraceEvent> e = source.next())
-    events.push_back(std::move(*e));
-  return events;
+  PoissonTraceSource source{function, rate_hz, duration, sim::Rng{seed}};
+  return drain(source);
 }
 
 std::vector<TraceEvent> generate_diurnal_trace(const std::string& function,
@@ -104,50 +99,7 @@ std::vector<TraceEvent> generate_diurnal_trace(const std::string& function,
     throw std::invalid_argument{"generate_diurnal_trace: period must be > 0"};
   DiurnalTraceSource source{function, base_rate_hz, peak_rate_hz,
                             period,   duration,     seed};
-  std::vector<TraceEvent> events;
-  while (std::optional<TraceEvent> e = source.next())
-    events.push_back(std::move(*e));
-  return events;
-}
-
-TraceReplayResult replay_trace(Platform& platform,
-                               std::span<const TraceEvent> events) {
-  for (const TraceEvent& e : events)
-    if (!platform.registry().has(e.function))
-      throw std::out_of_range{"replay_trace: function not deployed: " +
-                              e.function};
-
-  struct State {
-    TraceReplayResult result;
-    std::size_t answered = 0;
-  };
-  auto state = std::make_shared<State>();
-  sim::Simulation& sim = platform.kernel().sim();
-  const sim::TimePoint start = sim.now();
-
-  for (const TraceEvent& e : events) {
-    sim.schedule_at(start + e.at, [state, &platform, function = e.function] {
-      platform.invoke(function, funcs::sample_request(
-                                    platform.registry().get(function).spec.handler_id),
-                      [state](const funcs::Response& res, const RequestMetrics& m) {
-                        ++state->answered;
-                        if (res.ok()) {
-                          state->result.metrics.push_back(m);
-                          ++state->result.responses_ok;
-                          // Served, but the cold start degraded to the
-                          // Vanilla fallback — not a rejection, reported on
-                          // its own axis.
-                          if (m.fallback) ++state->result.responses_fallback;
-                        } else {
-                          ++state->result.responses_rejected;
-                        }
-                      });
-    });
-  }
-  while (state->answered < events.size() && sim.step()) {
-  }
-  state->result.makespan = sim.now() - start;
-  return std::move(state->result);
+  return drain(source);
 }
 
 }  // namespace prebake::faas

@@ -1,6 +1,8 @@
-// Workload traces: a minimal CSV format, synthetic generators, and a replay
-// driver. Lets experiments run against recorded or generated invocation
-// timelines (Azure-functions-style arrival logs) instead of fixed loops.
+// Workload traces: a minimal CSV format and synthetic generators. Lets
+// experiments run against recorded or generated invocation timelines
+// (Azure-functions-style arrival logs) instead of fixed loops; replay a
+// trace with faas::replay_trace_stream (faas/trace_source.hpp) over a
+// VectorTraceSource.
 //
 // CSV format, one event per line, '#' comments allowed:
 //   <offset_ms>,<function_name>
@@ -11,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "faas/platform.hpp"
+#include "sim/time.hpp"
 
 namespace prebake::faas {
 
@@ -42,23 +44,5 @@ std::vector<TraceEvent> generate_diurnal_trace(const std::string& function,
                                                sim::Duration period,
                                                sim::Duration duration,
                                                std::uint64_t seed);
-
-struct TraceReplayResult {
-  std::vector<RequestMetrics> metrics;
-  std::uint64_t responses_ok = 0;
-  // Queue-rejected (503 "no capacity"): the request never reached a
-  // replica. Quarantine/restore fallbacks are NOT in here — those requests
-  // are served (counted in responses_ok) and reported separately below.
-  std::uint64_t responses_rejected = 0;
-  // Served requests whose cold start fell back to the Vanilla start path
-  // (failed restore or quarantined snapshot).
-  std::uint64_t responses_fallback = 0;
-  sim::Duration makespan;
-};
-
-// Schedule every event and run the platform until all responses land.
-// Every referenced function must be deployed.
-TraceReplayResult replay_trace(Platform& platform,
-                               std::span<const TraceEvent> events);
 
 }  // namespace prebake::faas

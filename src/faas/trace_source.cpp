@@ -10,13 +10,19 @@
 
 namespace prebake::faas {
 
+std::vector<TraceEvent> drain(TraceSource& source) {
+  std::vector<TraceEvent> events;
+  while (std::optional<TraceEvent> e = source.next())
+    events.push_back(std::move(*e));
+  return events;
+}
+
 PoissonTraceSource::PoissonTraceSource(std::string function, double rate_hz,
-                                       sim::Duration duration,
-                                       std::uint64_t seed)
+                                       sim::Duration duration, sim::Rng rng)
     : function_(std::move(function)),
       rate_hz_(rate_hz),
       duration_(duration),
-      rng_(seed) {
+      rng_(rng) {
   if (rate_hz <= 0.0)
     throw std::invalid_argument{"PoissonTraceSource: rate must be > 0"};
 }
@@ -148,15 +154,15 @@ std::optional<TraceEvent> ZipfTraceSource::next() {
 
 StreamReplayResult replay_trace_stream(Platform& platform, TraceSource& source,
                                        const StreamReplayOptions& options) {
+  // The tally outlives this call: a request still in flight at the grace
+  // horizon may answer later, if the caller keeps stepping.
   struct State {
     StreamReplayResult result;
     std::uint64_t answered = 0;
-    bool exhausted = false;
-    sim::TimePoint start;
   };
   auto state = std::make_shared<State>();
   sim::Simulation& sim = platform.kernel().sim();
-  state->start = sim.now();
+  const sim::TimePoint start = sim.now();
 
   const bool keep = options.keep_request_metrics;
   auto on_response = [state, keep](const funcs::Response& res,
@@ -192,25 +198,35 @@ StreamReplayResult replay_trace_stream(Platform& platform, TraceSource& source,
         ++fa.fallback_serves;
         ++r.responses_fallback;
       }
+      if (keep) r.metrics.push_back(m);
     } else {
       ++r.responses_rejected;
       ++fa.rejected;
     }
-    if (keep) r.metrics.push_back(m);
   };
 
   // Each fired arrival schedules its successor before invoking, so exactly
   // one un-fired arrival is pending at any time — the engine never sees the
-  // whole trace.
-  auto fire = std::make_shared<std::function<void(const TraceEvent&)>>();
-  *fire = [state, &platform, &source, &sim, fire,
-           on_response](const TraceEvent& e) {
-    if (std::optional<TraceEvent> nxt = source.next()) {
-      sim.schedule_at(state->start + nxt->at,
-                      [fire, ev = std::move(*nxt)] { (*fire)(ev); });
-    } else {
-      state->exhausted = true;
+  // whole trace. The pending arrival holds the chain only weakly: `fire`
+  // dies with this call on every exit path (an arrival that throws out of
+  // sim.step() included), and an arrival left queued then does nothing.
+  using Fire = std::function<void(const TraceEvent&)>;
+  auto fire = std::make_shared<Fire>();
+  bool exhausted = false;
+  sim::TimePoint horizon;
+  auto schedule_next = [&, weak = std::weak_ptr<Fire>{fire}] {
+    std::optional<TraceEvent> next = source.next();
+    if (!next) {
+      exhausted = true;
+      horizon = sim.now() + kReplayGrace;
+      return;
     }
+    sim.schedule_at(start + next->at, [weak, ev = std::move(*next)] {
+      if (const std::shared_ptr<Fire> f = weak.lock()) (*f)(ev);
+    });
+  };
+  *fire = [&](const TraceEvent& e) {
+    schedule_next();
     ++state->result.events;
     platform.invoke(
         e.function,
@@ -218,13 +234,7 @@ StreamReplayResult replay_trace_stream(Platform& platform, TraceSource& source,
             platform.registry().get(e.function).spec.handler_id),
         on_response);
   };
-
-  if (std::optional<TraceEvent> first = source.next()) {
-    sim.schedule_at(state->start + first->at,
-                    [fire, ev = std::move(*first)] { (*fire)(ev); });
-  } else {
-    state->exhausted = true;
-  }
+  schedule_next();
 
   std::uint64_t steps = 0;
   const std::uint64_t mask =
@@ -236,16 +246,14 @@ StreamReplayResult replay_trace_stream(Platform& platform, TraceSource& source,
     r.peak_replicas = std::max(r.peak_replicas,
                                platform.total_replica_count());
   };
-  while (!state->exhausted || state->answered < state->result.events) {
+  while (!exhausted || state->answered < state->result.events) {
+    if (exhausted && sim.now() >= horizon) break;  // the rest are lost
     if (!sim.step()) break;
     if (mask != 0 && (++steps % mask) == 0) sample();
   }
   if (mask != 0) sample();
 
-  state->result.makespan = sim.now() - state->start;
-  // The arrival chain holds `fire` via shared_ptr in its own closure; break
-  // the cycle so a partially drained replay doesn't leak it.
-  *fire = nullptr;
+  state->result.makespan = sim.now() - start;
   return std::move(state->result);
 }
 

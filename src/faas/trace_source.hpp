@@ -1,14 +1,13 @@
-// Pull-based streaming trace sources and the memory-bounded replay driver
+// Pull-based streaming trace sources and the one open-loop replay driver
 // (DESIGN.md §6h).
 //
-// The original generators materialize a std::vector<TraceEvent> — fine for
-// thousands of events, hopeless for the 10^7-request production-scale
-// workloads the policy study replays. A TraceSource yields events one at a
-// time in non-decreasing time order; the streaming replay keeps exactly one
-// un-fired arrival scheduled, so engine memory stays O(active replicas +
-// functions) regardless of trace length. The legacy generate_*_trace
-// functions are thin wrappers that drain the matching source, drawing the
-// identical RNG sequence.
+// A TraceSource yields events one at a time in non-decreasing time order;
+// the replay keeps exactly one un-fired arrival scheduled, so engine memory
+// stays O(active replicas + functions) regardless of trace length — the
+// 10^7-request workloads of the policy study never materialize. Every
+// open-loop workload in the repository (Poisson, diurnal, Zipf fleet, CSV)
+// replays through replay_trace_stream. The generate_*_trace functions drain
+// the matching source, drawing the identical RNG sequence.
 #pragma once
 
 #include <cstdint>
@@ -47,11 +46,15 @@ class VectorTraceSource final : public TraceSource {
   std::size_t idx_ = 0;
 };
 
-// Homogeneous Poisson arrivals at `rate_hz` over `duration`.
+// Drain a source into the materialized trace it streams.
+std::vector<TraceEvent> drain(TraceSource& source);
+
+// Homogeneous Poisson arrivals at `rate_hz` over `duration`, drawn from
+// `rng` (one exponential gap per arrival, plus one past the window).
 class PoissonTraceSource final : public TraceSource {
  public:
   PoissonTraceSource(std::string function, double rate_hz,
-                     sim::Duration duration, std::uint64_t seed);
+                     sim::Duration duration, sim::Rng rng);
   std::optional<TraceEvent> next() override;
 
  private:
@@ -139,6 +142,13 @@ class ZipfTraceSource final : public TraceSource {
 
 // --- streaming replay ------------------------------------------------------
 
+// How long the replay keeps stepping after its last arrival while requests
+// are still unanswered. Extreme fault plans (a node-crash rate high enough
+// that every batch of restarts takes its node down again) can livelock the
+// crash/recover/restart cycle; the horizon turns that into measurable
+// request loss instead of a run that never ends.
+inline constexpr sim::Duration kReplayGrace = sim::Duration::seconds(600);
+
 struct StreamReplayOptions {
   // Grow the full per-request metrics vector (O(requests) memory). Off by
   // default: the aggregate + per-function views below are the bounded path.
@@ -151,7 +161,8 @@ struct StreamReplayOptions {
 struct StreamReplayResult {
   std::uint64_t events = 0;        // arrivals issued to the platform
   std::uint64_t responses_ok = 0;
-  // Queue-rejected (503 "no capacity") — never reached a replica.
+  // Queue-rejected (503 "no capacity") — never reached a replica. Arrivals
+  // in neither count went unanswered within kReplayGrace: they are lost.
   std::uint64_t responses_rejected = 0;
   // Served OK but the cold start behind them fell back to the Vanilla path
   // (failed restore / quarantine). Disjoint axis from rejections.
@@ -166,15 +177,17 @@ struct StreamReplayResult {
   // active set, not the trace length).
   std::size_t peak_pending_events = 0;
   std::size_t peak_replicas = 0;
-  // Populated only when keep_request_metrics is set.
+  // Served responses, in answer order; populated only when
+  // keep_request_metrics is set.
   std::vector<RequestMetrics> metrics;
 };
 
-// Drive a streaming trace through the platform: one arrival is scheduled
-// ahead at any time, each firing schedules its successor. Runs the
-// simulation until every issued request is answered. Functions must be
-// deployed before their first arrival (invoke throws out_of_range
-// otherwise, surfacing from the offending simulation step).
+// Drive a trace through the platform: one arrival is scheduled ahead at any
+// time, each firing schedules its successor. Runs the simulation until
+// every issued request is answered, or until kReplayGrace past the last
+// arrival. A function must be deployed by the time its first arrival fires;
+// otherwise std::out_of_range leaves this call from the simulation step
+// that fired the arrival.
 StreamReplayResult replay_trace_stream(Platform& platform, TraceSource& source,
                                        const StreamReplayOptions& options = {});
 

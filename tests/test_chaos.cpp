@@ -6,7 +6,6 @@
 #include "core/prebaker.hpp"
 #include "core/startup.hpp"
 #include "exp/calibration.hpp"
-#include "exp/chaos.hpp"
 #include "exp/cluster.hpp"
 #include "faas/builder.hpp"
 #include "faas/platform.hpp"
@@ -408,8 +407,20 @@ TEST(ChaosPlatform, TruncatedNodeCopyHealsByRebake) {
 
 // --- Scenario level --------------------------------------------------------
 
-exp::ChaosScenarioConfig short_chaos(double corruption) {
-  exp::ChaosScenarioConfig cfg;
+// The chaos scenario: the cluster scenario with locality placement and the
+// resilience policy on (three restore attempts, quarantine after three
+// consecutive failures, crashed nodes back after 30 s).
+exp::ClusterScenarioConfig chaos_config() {
+  exp::ClusterScenarioConfig cfg;
+  cfg.policy = faas::PlacementPolicy::kSnapshotLocality;
+  cfg.restore_max_attempts = 3;
+  cfg.quarantine_threshold = 3;
+  cfg.node_recovery_delay = sim::Duration::seconds(30);
+  return cfg;
+}
+
+exp::ClusterScenarioConfig short_chaos(double corruption) {
+  exp::ClusterScenarioConfig cfg = chaos_config();
   cfg.duration = sim::Duration::seconds(120);
   cfg.faults.image_corruption_rate = corruption;
   cfg.faults.image_read_error_rate = corruption / 2;
@@ -417,12 +428,11 @@ exp::ChaosScenarioConfig short_chaos(double corruption) {
 }
 
 TEST(ChaosScenario, ZeroPlanMatchesClusterScenarioExactly) {
-  // With an all-zero fault plan the chaos harness must reproduce the plain
-  // cluster scenario bit-for-bit: the injector hooks and resilience policy
-  // are free when nothing fires.
-  exp::ChaosScenarioConfig chaos;
-  chaos.duration = sim::Duration::seconds(120);
-  const exp::ChaosScenarioResult c = exp::run_chaos_scenario(chaos);
+  // With an all-zero fault plan the resilience policy must be free: a run
+  // with it on reproduces the plain cluster run (policy off) bit-for-bit —
+  // the injector hooks cost nothing when nothing fires.
+  const exp::ClusterScenarioResult c =
+      exp::run_cluster_scenario(short_chaos(0.0));
 
   exp::ClusterScenarioConfig plain;
   plain.policy = faas::PlacementPolicy::kSnapshotLocality;
@@ -431,25 +441,28 @@ TEST(ChaosScenario, ZeroPlanMatchesClusterScenarioExactly) {
 
   EXPECT_EQ(c.faults_injected, 0u);
   EXPECT_TRUE(c.fault_trace.empty());
-  EXPECT_EQ(c.restore_retries, 0u);
-  EXPECT_EQ(c.restore_fallbacks, 0u);
+  EXPECT_EQ(c.stats.restore_retries, 0u);
+  EXPECT_EQ(c.stats.restore_fallbacks, 0u);
 
   EXPECT_EQ(c.requests, p.requests);
+  EXPECT_EQ(c.answered, p.answered);
   EXPECT_EQ(c.responses_ok, p.responses_ok);
-  EXPECT_EQ(c.cold_starts, p.cold_starts);
-  EXPECT_EQ(c.replicas_started, p.replicas_started);
+  EXPECT_EQ(c.stats.cold_starts, p.stats.cold_starts);
+  EXPECT_EQ(c.stats.replicas_started, p.stats.replicas_started);
   EXPECT_EQ(c.total_p50_ms, p.total_p50_ms);
   EXPECT_EQ(c.total_p95_ms, p.total_p95_ms);
   EXPECT_EQ(c.total_p99_ms, p.total_p99_ms);
 }
 
 TEST(ChaosScenario, FaultTraceIsReproducible) {
-  const exp::ChaosScenarioResult a = exp::run_chaos_scenario(short_chaos(0.05));
-  const exp::ChaosScenarioResult b = exp::run_chaos_scenario(short_chaos(0.05));
+  const exp::ClusterScenarioResult a =
+      exp::run_cluster_scenario(short_chaos(0.05));
+  const exp::ClusterScenarioResult b =
+      exp::run_cluster_scenario(short_chaos(0.05));
   ASSERT_FALSE(a.fault_trace.empty());
   EXPECT_EQ(a.fault_trace, b.fault_trace);
   EXPECT_EQ(a.responses_ok, b.responses_ok);
-  EXPECT_EQ(a.restore_retries, b.restore_retries);
+  EXPECT_EQ(a.stats.restore_retries, b.stats.restore_retries);
   EXPECT_EQ(a.total_p99_ms, b.total_p99_ms);
 }
 
@@ -460,11 +473,11 @@ TEST(ChaosScenario, FaultTraceIdenticalAcrossThreadCounts) {
   // differs.
   const double rates[] = {0.02, 0.05, 0.08};
   auto sweep = [&rates](int threads) {
-    std::vector<exp::ChaosScenarioResult> out(3);
+    std::vector<exp::ClusterScenarioResult> out(3);
     util::parallel_for(
         3,
         [&](std::size_t i) {
-          out[i] = exp::run_chaos_scenario(short_chaos(rates[i]));
+          out[i] = exp::run_cluster_scenario(short_chaos(rates[i]));
         },
         threads);
     return out;
@@ -479,23 +492,23 @@ TEST(ChaosScenario, FaultTraceIdenticalAcrossThreadCounts) {
 }
 
 TEST(ChaosScenario, NoRequestLostAtFivePercentCorruption) {
-  exp::ChaosScenarioConfig cfg = short_chaos(0.05);
+  exp::ClusterScenarioConfig cfg = short_chaos(0.05);
   cfg.duration = sim::Duration::seconds(300);
-  const exp::ChaosScenarioResult r = exp::run_chaos_scenario(cfg);
+  const exp::ClusterScenarioResult r = exp::run_cluster_scenario(cfg);
   ASSERT_GT(r.requests, 0u);
   EXPECT_EQ(r.answered, r.requests);       // nothing dropped on the floor
   EXPECT_EQ(r.responses_ok, r.requests);   // and everything actually served
   EXPECT_GT(r.faults_injected, 0u);        // under real fault pressure
-  EXPECT_GT(r.restore_retries, 0u);
+  EXPECT_GT(r.stats.restore_retries, 0u);
 }
 
 TEST(ChaosScenario, HeavyCorruptionTripsQuarantineAndRebake) {
-  exp::ChaosScenarioConfig cfg = short_chaos(0.3);
+  exp::ClusterScenarioConfig cfg = short_chaos(0.3);
   cfg.duration = sim::Duration::seconds(300);
   cfg.faults.truncated_write_rate = 0.2;
-  const exp::ChaosScenarioResult r = exp::run_chaos_scenario(cfg);
-  EXPECT_GE(r.snapshot_quarantines, 1u);
-  EXPECT_GE(r.snapshot_rebakes, 1u);
+  const exp::ClusterScenarioResult r = exp::run_cluster_scenario(cfg);
+  EXPECT_GE(r.stats.snapshot_quarantines, 1u);
+  EXPECT_GE(r.stats.snapshot_rebakes, 1u);
   EXPECT_EQ(r.answered, r.requests);  // quarantine routes around, not away
   // A re-baked snapshot leaves the breaker closed again by run end, or the
   // health table still shows it quarantined mid-heal; either way the rows
@@ -507,16 +520,35 @@ TEST(ChaosScenario, NodeCrashesAreRecoveredAndNothingIsLost) {
   // The crash draw is per replica start, so the rate must stay realistic:
   // with locality placement a whole queue's restarts land on one node, and
   // a high per-start rate crashes every batch faster than the cluster can
-  // recover (the scenario's grace horizon would then report the backlog as
-  // lost). At 5% the cluster sees several crashes yet loses nothing.
-  exp::ChaosScenarioConfig cfg;
+  // recover (LivelockEndsAtTheGraceHorizon below). At 5% the cluster sees
+  // several crashes yet loses nothing.
+  exp::ClusterScenarioConfig cfg = chaos_config();
   cfg.duration = sim::Duration::seconds(300);
   cfg.faults.node_crash_rate = 0.05;
   cfg.node_recovery_delay = sim::Duration::seconds(10);
-  const exp::ChaosScenarioResult r = exp::run_chaos_scenario(cfg);
-  EXPECT_GE(r.node_crashes, 1u);
-  EXPECT_GE(r.node_recoveries, 1u);
+  const exp::ClusterScenarioResult r = exp::run_cluster_scenario(cfg);
+  EXPECT_GE(r.stats.node_crashes, 1u);
+  EXPECT_GE(r.stats.node_recoveries, 1u);
   EXPECT_EQ(r.answered, r.requests);
+}
+
+TEST(ChaosScenario, LivelockEndsAtTheGraceHorizon) {
+  // Every prebaked start crashes its node, and each recovery re-places the
+  // requeued work, which crashes the node again. The replay must still end
+  // (faas::kReplayGrace past the last arrival) and report the backlog as
+  // lost rather than run forever. Host time grows with the crash/recover
+  // cycles that fit in the grace horizon, hence two nodes and a 20 s
+  // recovery.
+  exp::ClusterScenarioConfig cfg = chaos_config();
+  cfg.nodes = 2;
+  cfg.duration = sim::Duration::seconds(20);
+  cfg.faults.node_crash_rate = 1.0;
+  cfg.node_recovery_delay = sim::Duration::seconds(20);
+  const exp::ClusterScenarioResult r = exp::run_cluster_scenario(cfg);
+  ASSERT_GT(r.requests, 0u);
+  EXPECT_LT(r.answered, r.requests);
+  EXPECT_LT(r.availability, 1.0);
+  EXPECT_GT(r.stats.node_crashes, r.requests);
 }
 
 }  // namespace

@@ -460,11 +460,11 @@ TEST(ClusterScenario, DeterministicAndPolicySensitive) {
   const exp::ClusterScenarioResult a = exp::run_cluster_scenario(cfg);
   const exp::ClusterScenarioResult b = exp::run_cluster_scenario(cfg);
   EXPECT_EQ(a.requests, b.requests);
-  EXPECT_EQ(a.cold_starts, b.cold_starts);
+  EXPECT_EQ(a.stats.cold_starts, b.stats.cold_starts);
   EXPECT_EQ(a.remote_bytes_fetched, b.remote_bytes_fetched);
   EXPECT_DOUBLE_EQ(a.total_p99_ms, b.total_p99_ms);
   EXPECT_EQ(a.nodes.size(), cfg.nodes);
-  EXPECT_EQ(a.rejected, 0u);
+  EXPECT_EQ(a.stats.rejected, 0u);
 
   // The locality policy strictly reduces registry traffic on this workload.
   cfg.policy = PlacementPolicy::kSnapshotLocality;

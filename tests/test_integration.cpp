@@ -7,6 +7,7 @@
 
 #include "exp/calibration.hpp"
 #include "faas/trace.hpp"
+#include "faas/trace_source.hpp"
 #include "faas/workflow.hpp"
 #include "stats/descriptive.hpp"
 
@@ -52,7 +53,11 @@ TEST(Integration, DayInTheLife) {
   std::stable_sort(events.begin(), events.end(),
                    [](const auto& a, const auto& b) { return a.at < b.at; });
 
-  const faas::TraceReplayResult result = faas::replay_trace(platform, events);
+  faas::VectorTraceSource source{events};
+  faas::StreamReplayOptions options;
+  options.keep_request_metrics = true;
+  const faas::StreamReplayResult result =
+      faas::replay_trace_stream(platform, source, options);
 
   // Every request answered successfully.
   EXPECT_EQ(result.responses_ok, events.size());

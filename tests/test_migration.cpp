@@ -393,12 +393,12 @@ TEST(MigrationScenarioTest, WarmDrainLosesNothing) {
   EXPECT_GT(res.requests, 0u);
   EXPECT_EQ(res.answered, res.requests);
   EXPECT_EQ(res.responses_ok, res.requests);
-  EXPECT_EQ(res.rejected, 0u);
+  EXPECT_EQ(res.stats.rejected, 0u);
   EXPECT_DOUBLE_EQ(res.availability, 1.0);
-  EXPECT_GE(res.migrations_completed, 1u);
+  EXPECT_GE(res.stats.migrations_completed, 1u);
   EXPECT_GE(res.warmth_replicas_migrated, 1u);
   EXPECT_EQ(res.warmth_replicas_destroyed, 0u);
-  EXPECT_EQ(res.cold_starts, 0u);
+  EXPECT_EQ(res.stats.cold_starts, 0u);
   ASSERT_NE(res.source_node, kNoNode);
   ASSERT_NE(res.final_node, kNoNode);
   EXPECT_NE(res.final_node, res.source_node);
@@ -407,7 +407,7 @@ TEST(MigrationScenarioTest, WarmDrainLosesNothing) {
 TEST(MigrationScenarioTest, DowntimeBeatsColdRestore) {
   const exp::MigrationScenarioResult res =
       exp::run_migration_scenario(scenario_config());
-  ASSERT_GE(res.migrations_completed, 1u);
+  ASSERT_GE(res.stats.migrations_completed, 1u);
   EXPECT_GT(res.downtime_ms, 0.0);
   EXPECT_GT(res.cold_restore_ms, 0.0);
   // The ISSUE gate: read-heavy live migration blacks out for well under 30%
@@ -423,9 +423,10 @@ TEST(MigrationScenarioTest, DowntimeGrowsWithDirtyRate) {
       exp::run_migration_scenario(cfg);
   cfg.request_dirty_pages = 256;
   const exp::MigrationScenarioResult dirty = exp::run_migration_scenario(cfg);
-  ASSERT_GE(readonly.migrations_completed, 1u);
-  ASSERT_GE(dirty.migrations_completed, 1u);
-  EXPECT_GT(dirty.migration_final_bytes, readonly.migration_final_bytes);
+  ASSERT_GE(readonly.stats.migrations_completed, 1u);
+  ASSERT_GE(dirty.stats.migrations_completed, 1u);
+  EXPECT_GT(dirty.stats.migration_final_bytes,
+            readonly.stats.migration_final_bytes);
   EXPECT_GT(dirty.downtime_ms, readonly.downtime_ms);
 }
 
@@ -434,9 +435,9 @@ TEST(MigrationScenarioTest, StopAndCopyPaysFullRestoreInBlackout) {
   const exp::MigrationScenarioResult live = exp::run_migration_scenario(cfg);
   cfg.migration.max_rounds = 0;  // no pre-copy: the comparison baseline
   const exp::MigrationScenarioResult stop = exp::run_migration_scenario(cfg);
-  ASSERT_GE(live.migrations_completed, 1u);
-  ASSERT_GE(stop.migrations_completed, 1u);
-  EXPECT_EQ(stop.migration_rounds, 0u);
+  ASSERT_GE(live.stats.migrations_completed, 1u);
+  ASSERT_GE(stop.stats.migrations_completed, 1u);
+  EXPECT_EQ(stop.stats.migration_rounds, 0u);
   // Stop-and-copy has no standby: its blackout carries the full transfer
   // and restore that pre-copy pays while still serving.
   EXPECT_GT(stop.downtime_ms, 3.0 * live.downtime_ms);
@@ -453,12 +454,13 @@ TEST(MigrationScenarioTest, DeepChainNegotiatesDeltasUnderRegistryStalls) {
   cfg.faults.registry_stall_rate = 1.0;
   cfg.faults.registry_stall = sim::Duration::millis(20);
   const exp::MigrationScenarioResult res = exp::run_migration_scenario(cfg);
-  ASSERT_GE(res.migrations_completed, 1u);
-  EXPECT_GT(res.migration_rounds, 2u);
+  ASSERT_GE(res.stats.migrations_completed, 1u);
+  EXPECT_GT(res.stats.migration_rounds, 2u);
   EXPECT_EQ(res.answered, res.requests);
-  EXPECT_EQ(res.rejected, 0u);
+  EXPECT_EQ(res.stats.rejected, 0u);
   // Pre-copy carries the bulk; the final delta is orders smaller.
-  EXPECT_GT(res.migration_precopy_bytes, 10u * res.migration_final_bytes);
+  EXPECT_GT(res.stats.migration_precopy_bytes,
+            10u * res.stats.migration_final_bytes);
 }
 
 TEST(MigrationScenarioTest, SourceCrashDegradesMigrationNotService) {
@@ -468,11 +470,11 @@ TEST(MigrationScenarioTest, SourceCrashDegradesMigrationNotService) {
   cfg.drain_source = false;
   cfg.faults.migration_dump_fault_rate = 1.0;
   const exp::MigrationScenarioResult res = exp::run_migration_scenario(cfg);
-  EXPECT_GE(res.migrations_aborted, 1u);
-  EXPECT_EQ(res.migrations_completed, 0u);
+  EXPECT_GE(res.stats.migrations_aborted, 1u);
+  EXPECT_EQ(res.stats.migrations_completed, 0u);
   // The robustness claim: a failed migration costs zero requests.
   EXPECT_EQ(res.answered, res.requests);
-  EXPECT_EQ(res.rejected, 0u);
+  EXPECT_EQ(res.stats.rejected, 0u);
   EXPECT_DOUBLE_EQ(res.availability, 1.0);
 }
 
@@ -482,9 +484,9 @@ TEST(MigrationScenarioTest, DeterministicAcrossRuns) {
   const exp::MigrationScenarioResult b = exp::run_migration_scenario(cfg);
   EXPECT_EQ(a.requests, b.requests);
   EXPECT_EQ(a.answered, b.answered);
-  EXPECT_EQ(a.migration_rounds, b.migration_rounds);
-  EXPECT_EQ(a.migration_precopy_bytes, b.migration_precopy_bytes);
-  EXPECT_EQ(a.migration_final_bytes, b.migration_final_bytes);
+  EXPECT_EQ(a.stats.migration_rounds, b.stats.migration_rounds);
+  EXPECT_EQ(a.stats.migration_precopy_bytes, b.stats.migration_precopy_bytes);
+  EXPECT_EQ(a.stats.migration_final_bytes, b.stats.migration_final_bytes);
   EXPECT_DOUBLE_EQ(a.downtime_ms, b.downtime_ms);
   EXPECT_DOUBLE_EQ(a.total_p95_ms, b.total_p95_ms);
 }

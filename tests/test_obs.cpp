@@ -347,19 +347,23 @@ TEST(TraceExport, ParserRejectsMalformedInput) {
 // --- Chaos: quarantine spans vs. the circuit-breaker table ------------------
 
 TEST(TraceChaos, QuarantineSpansMatchSnapshotHealth) {
+  // The chaos run: the cluster scenario with locality placement, the
+  // resilience policy on and a fault plan.
   exp::ScenarioSpec spec;
-  spec.kind = exp::ScenarioKind::kChaos;
+  spec.kind = exp::ScenarioKind::kCluster;
   spec.trace = true;
   spec.seed = 42;
-  spec.chaos.duration = sim::Duration::seconds(180);
-  spec.chaos.rate_hz = 0.5;
-  spec.chaos.quarantine_threshold = 2;
-  spec.chaos.restore_max_attempts = 2;
-  spec.chaos.faults.seed = 42;
-  spec.chaos.faults.image_corruption_rate = 0.8;
+  spec.cluster.policy = faas::PlacementPolicy::kSnapshotLocality;
+  spec.cluster.duration = sim::Duration::seconds(180);
+  spec.cluster.rate_hz = 0.5;
+  spec.cluster.quarantine_threshold = 2;
+  spec.cluster.restore_max_attempts = 2;
+  spec.cluster.node_recovery_delay = sim::Duration::seconds(30);
+  spec.cluster.faults.seed = 42;
+  spec.cluster.faults.image_corruption_rate = 0.8;
 
   const exp::ScenarioRun run = exp::run(spec);
-  ASSERT_GT(run.chaos.snapshot_quarantines, 0u)
+  ASSERT_GT(run.cluster.stats.snapshot_quarantines, 0u)
       << "fault plan failed to trip any circuit breaker";
 
   std::map<std::string, std::uint64_t> enters, lifts;
@@ -371,14 +375,14 @@ TEST(TraceChaos, QuarantineSpansMatchSnapshotHealth) {
   std::uint64_t total_enters = 0, total_lifts = 0;
   for (const auto& [fn, n] : enters) total_enters += n;
   for (const auto& [fn, n] : lifts) total_lifts += n;
-  EXPECT_EQ(total_enters, run.chaos.snapshot_quarantines);
-  EXPECT_EQ(total_lifts, run.chaos.snapshot_rebakes);
+  EXPECT_EQ(total_enters, run.cluster.stats.snapshot_quarantines);
+  EXPECT_EQ(total_lifts, run.cluster.stats.snapshot_rebakes);
   EXPECT_EQ(run.trace.metrics.counter("faas.quarantines"), total_enters);
   EXPECT_EQ(run.trace.metrics.counter("faas.rebakes"), total_lifts);
 
   // Per function: every enter is matched by a lift unless the run ended
   // with the snapshot still quarantined.
-  for (const auto& row : run.chaos.snapshot_health) {
+  for (const auto& row : run.cluster.snapshot_health) {
     const std::uint64_t still = row.quarantined ? 1u : 0u;
     EXPECT_EQ(enters[row.function], lifts[row.function] + still)
         << row.function;
@@ -387,8 +391,8 @@ TEST(TraceChaos, QuarantineSpansMatchSnapshotHealth) {
   // And no quarantine span names a function the health table doesn't know.
   for (const auto& [fn, n] : enters) {
     const bool known =
-        std::any_of(run.chaos.snapshot_health.begin(),
-                    run.chaos.snapshot_health.end(),
+        std::any_of(run.cluster.snapshot_health.begin(),
+                    run.cluster.snapshot_health.end(),
                     [&](const auto& row) { return row.function == fn; });
     EXPECT_TRUE(known) << fn;
   }

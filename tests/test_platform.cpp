@@ -4,6 +4,7 @@
 
 #include "exp/calibration.hpp"
 #include "faas/load_generator.hpp"
+#include "faas/trace_source.hpp"
 
 namespace prebake::faas {
 namespace {
@@ -236,33 +237,36 @@ TEST_F(PlatformTest, ExcessAboveMinIdleIsStillReclaimed) {
   EXPECT_EQ(p.stats().replicas_reclaimed, 3u);
 }
 
+// Open-loop Poisson traffic through the one open-loop driver.
+StreamReplayResult replay_poisson(Platform& platform, double rate_hz,
+                                  sim::Duration duration, std::uint64_t seed) {
+  PoissonTraceSource arrivals{"noop", rate_hz, duration, sim::Rng{seed}};
+  StreamReplayOptions options;
+  options.keep_request_metrics = true;
+  return replay_trace_stream(platform, arrivals, options);
+}
+
 TEST_F(PlatformTest, OpenLoopDriverDeliversAllArrivals) {
   platform_.deploy(exp::noop_spec(), StartMode::kVanilla);
-  OpenLoopConfig cfg;
-  cfg.function = "noop";
-  cfg.rate_hz = 20.0;
-  cfg.duration = sim::Duration::seconds(10);
-  cfg.seed = 11;
-  const OpenLoopResult result = run_open_loop(platform_, cfg);
+  const double mem_before = platform_.fleet_mem_byte_seconds();
+  const StreamReplayResult result =
+      replay_poisson(platform_, 20.0, sim::Duration::seconds(10), 11);
   // ~200 expected arrivals; all answered, none rejected, memory tracked.
   EXPECT_GT(result.responses_ok, 150u);
+  EXPECT_EQ(result.responses_ok, result.events);
   EXPECT_EQ(result.responses_rejected, 0u);
   EXPECT_EQ(result.metrics.size(), result.responses_ok);
-  EXPECT_GT(result.mem_byte_seconds, 0.0);
+  EXPECT_GT(platform_.fleet_mem_byte_seconds(), mem_before);
   EXPECT_GE(result.makespan.to_seconds(), 9.0);
 }
 
 TEST_F(PlatformTest, OpenLoopDeterministicPerSeed) {
   platform_.deploy(exp::noop_spec(), StartMode::kVanilla);
-  OpenLoopConfig cfg;
-  cfg.function = "noop";
-  cfg.rate_hz = 5.0;
-  cfg.duration = sim::Duration::seconds(5);
-  cfg.seed = 21;
-  const OpenLoopResult a = run_open_loop(platform_, cfg);
+  const StreamReplayResult a =
+      replay_poisson(platform_, 5.0, sim::Duration::seconds(5), 21);
   // A different seed shifts the arrival count with high probability.
-  cfg.seed = 22;
-  const OpenLoopResult b = run_open_loop(platform_, cfg);
+  const StreamReplayResult b =
+      replay_poisson(platform_, 5.0, sim::Duration::seconds(5), 22);
   EXPECT_NE(a.responses_ok + 1000 * a.responses_rejected,
             b.responses_ok + 1000 * b.responses_rejected);
 }

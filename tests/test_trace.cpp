@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "exp/calibration.hpp"
+#include "faas/trace_source.hpp"
 
 namespace prebake::faas {
 namespace {
@@ -119,7 +120,12 @@ TEST(TraceReplay, RunsAgainstPlatform) {
   for (int i = 0; i < 10; ++i)
     events.push_back({sim::Duration::millis(500 * i),
                       i % 2 == 0 ? "noop" : "markdown-render"});
-  const TraceReplayResult result = replay_trace(platform, events);
+  VectorTraceSource source{events};
+  StreamReplayOptions options;
+  options.keep_request_metrics = true;
+  const StreamReplayResult result =
+      replay_trace_stream(platform, source, options);
+  EXPECT_EQ(result.events, 10u);
   EXPECT_EQ(result.responses_ok, 10u);
   EXPECT_EQ(result.responses_rejected, 0u);
   EXPECT_EQ(result.metrics.size(), 10u);
@@ -127,13 +133,26 @@ TEST(TraceReplay, RunsAgainstPlatform) {
   EXPECT_EQ(platform.stats().cold_starts, 2u);
 }
 
-TEST(TraceReplay, UndeployedFunctionRejectedUpFront) {
+TEST(TraceReplay, UndeployedFunctionThrowsAtItsArrival) {
   sim::Simulation sim;
   os::Kernel kernel{sim, exp::testbed_costs()};
   Platform platform{kernel, exp::testbed_runtime(), PlatformConfig{}, 18};
   platform.resources().add_node("n", 8ull << 30);
-  const std::vector<TraceEvent> events{{sim::Duration::millis(1), "ghost"}};
-  EXPECT_THROW(replay_trace(platform, events), std::out_of_range);
+  platform.deploy(exp::noop_spec(), StartMode::kVanilla);
+  // Nothing is checked up front: the deployed function's arrival fires,
+  // then the step that fires the undeployed one throws.
+  VectorTraceSource source{{{sim::Duration::millis(1), "noop"},
+                            {sim::Duration::millis(5), "ghost"},
+                            {sim::Duration::millis(9), "noop"}}};
+  const sim::TimePoint start = sim.now();
+  EXPECT_THROW(replay_trace_stream(platform, source), std::out_of_range);
+  EXPECT_EQ(sim.now(), start + sim::Duration::millis(5));
+  EXPECT_EQ(platform.stats().invocations, 1u);
+  // The arrival already queued behind the throw is inert once the replay
+  // is gone, and the aborted replay leaks nothing (the sanitizer pass runs
+  // this test under LeakSanitizer).
+  sim.run();
+  EXPECT_EQ(platform.stats().invocations, 1u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -16,15 +17,9 @@
 #include "sim/simulation.hpp"
 
 using namespace prebake;
+using faas::drain;
 
 namespace {
-
-std::vector<faas::TraceEvent> drain(faas::TraceSource& source) {
-  std::vector<faas::TraceEvent> events;
-  while (std::optional<faas::TraceEvent> e = source.next())
-    events.push_back(std::move(*e));
-  return events;
-}
 
 rt::FunctionSpec tiny_spec(const std::string& name) {
   rt::FunctionSpec spec;
@@ -38,7 +33,8 @@ rt::FunctionSpec tiny_spec(const std::string& name) {
 }  // namespace
 
 TEST(TraceStreamPoisson, MatchesLegacyGeneratorExactly) {
-  faas::PoissonTraceSource source{"fn", 5.0, sim::Duration::seconds(120), 7};
+  faas::PoissonTraceSource source{"fn", 5.0, sim::Duration::seconds(120),
+                                  sim::Rng{7}};
   const auto streamed = drain(source);
   const auto legacy =
       faas::generate_poisson_trace("fn", 5.0, sim::Duration::seconds(120), 7);
@@ -47,7 +43,8 @@ TEST(TraceStreamPoisson, MatchesLegacyGeneratorExactly) {
 }
 
 TEST(TraceStreamPoisson, ExhaustedSourceStaysExhausted) {
-  faas::PoissonTraceSource source{"fn", 50.0, sim::Duration::seconds(1), 3};
+  faas::PoissonTraceSource source{"fn", 50.0, sim::Duration::seconds(1),
+                                  sim::Rng{3}};
   drain(source);
   EXPECT_FALSE(source.next().has_value());
   EXPECT_FALSE(source.next().has_value());
@@ -199,6 +196,42 @@ void deploy_fleet(faas::Platform& platform, const faas::ZipfTraceSource& src) {
                     core::SnapshotPolicy::warmup(1));
 }
 
+// The reference the streaming replay must match: schedule every arrival up
+// front, then step until each one is answered.
+struct UpFrontReplay {
+  std::uint64_t answered = 0;
+  std::uint64_t ok = 0;
+  std::uint64_t rejected = 0;
+  std::uint64_t fallback = 0;
+  sim::Duration makespan;
+};
+
+UpFrontReplay replay_up_front(faas::Platform& platform,
+                              const std::vector<faas::TraceEvent>& events) {
+  auto out = std::make_shared<UpFrontReplay>();
+  sim::Simulation& sim = platform.kernel().sim();
+  const sim::TimePoint start = sim.now();
+  for (const faas::TraceEvent& e : events)
+    sim.schedule_at(start + e.at, [out, &platform, fn = e.function] {
+      platform.invoke(
+          fn,
+          funcs::sample_request(platform.registry().get(fn).spec.handler_id),
+          [out](const funcs::Response& res, const faas::RequestMetrics& m) {
+            ++out->answered;
+            if (!res.ok()) {
+              ++out->rejected;
+              return;
+            }
+            ++out->ok;
+            if (m.fallback) ++out->fallback;
+          });
+    });
+  while (out->answered < events.size() && sim.step()) {
+  }
+  out->makespan = sim.now() - start;
+  return *out;
+}
+
 }  // namespace
 
 TEST(TraceStreamReplay, MatchesMaterializedReplay) {
@@ -214,13 +247,13 @@ TEST(TraceStreamReplay, MatchesMaterializedReplay) {
   faas::ZipfTraceSource src_b{wl};
   deploy_fleet(b.platform, src_b);
   const auto events = drain(src_b);
-  const faas::TraceReplayResult vec = faas::replay_trace(b.platform, events);
+  const UpFrontReplay ref = replay_up_front(b.platform, events);
 
   EXPECT_EQ(streamed.events, events.size());
-  EXPECT_EQ(streamed.responses_ok, vec.responses_ok);
-  EXPECT_EQ(streamed.responses_rejected, vec.responses_rejected);
-  EXPECT_EQ(streamed.responses_fallback, vec.responses_fallback);
-  EXPECT_EQ(streamed.makespan, vec.makespan);
+  EXPECT_EQ(streamed.responses_ok, ref.ok);
+  EXPECT_EQ(streamed.responses_rejected, ref.rejected);
+  EXPECT_EQ(streamed.responses_fallback, ref.fallback);
+  EXPECT_EQ(streamed.makespan, ref.makespan);
   EXPECT_EQ(a.platform.stats().cold_starts, b.platform.stats().cold_starts);
 }
 

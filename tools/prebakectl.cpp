@@ -36,7 +36,6 @@
 #include "criu/page_store.hpp"
 #include "criu/restore.hpp"
 #include "exp/calibration.hpp"
-#include "exp/chaos.hpp"
 #include "exp/cli.hpp"
 #include "exp/cluster.hpp"
 #include "exp/report.hpp"
@@ -128,6 +127,25 @@ exp::Technique resolve_technique(const std::string& name) {
 
 faas::PlacementPolicy resolve_policy(const std::string& name);
 
+// The chaos run: the cluster scenario with locality placement, the
+// resilience policy under test (three restore attempts, quarantine after
+// three consecutive failures, crashed nodes back after 30 s) and a fault
+// plan of `rate` on the restore path's corruption, read-error and
+// registry-stall sites.
+exp::ClusterScenarioConfig chaos_config(std::uint64_t seed, double rate) {
+  exp::ClusterScenarioConfig cfg;
+  cfg.seed = seed;
+  cfg.policy = faas::PlacementPolicy::kSnapshotLocality;
+  cfg.restore_max_attempts = 3;
+  cfg.quarantine_threshold = 3;
+  cfg.node_recovery_delay = sim::Duration::seconds(30);
+  cfg.faults.seed = seed;
+  cfg.faults.image_corruption_rate = rate;
+  cfg.faults.image_read_error_rate = rate / 2;
+  cfg.faults.registry_stall_rate = rate;
+  return cfg;
+}
+
 // `prebakectl trace startup|cluster|chaos`: run one scenario with the
 // structured tracer on and print the span tree (or export Chrome
 // trace_event JSON for about:tracing / Perfetto with --out).
@@ -149,14 +167,10 @@ int cmd_trace_scenario(const std::string& kind, const exp::CliArgs& args) {
     spec.cluster.duration =
         sim::Duration::seconds_f(args.get_double_or("duration-s", 60.0));
   } else {
-    spec.kind = exp::ScenarioKind::kChaos;
-    const double rate = args.get_double_or("rate", 0.05);
-    spec.chaos.duration =
+    spec.kind = exp::ScenarioKind::kCluster;
+    spec.cluster = chaos_config(spec.seed, args.get_double_or("rate", 0.05));
+    spec.cluster.duration =
         sim::Duration::seconds_f(args.get_double_or("duration-s", 60.0));
-    spec.chaos.faults.seed = spec.seed;
-    spec.chaos.faults.image_corruption_rate = rate;
-    spec.chaos.faults.image_read_error_rate = rate / 2;
-    spec.chaos.faults.registry_stall_rate = rate;
   }
 
   const exp::ScenarioRun run = exp::run(spec);
@@ -230,7 +244,10 @@ int cmd_trace(const exp::CliArgs& args) {
                                : faas::StartMode::kVanilla,
                       core::SnapshotPolicy::warmup(1));
     }
-    const auto result = faas::replay_trace(platform, events);
+    faas::VectorTraceSource source{events};
+    faas::StreamReplayOptions options;
+    options.keep_request_metrics = true;
+    const auto result = faas::replay_trace_stream(platform, source, options);
     std::vector<double> totals;
     for (const auto& m : result.metrics) totals.push_back(m.total.to_millis());
     std::printf("%s: %llu ok, %llu rejected, %llu cold starts\n",
@@ -397,9 +414,9 @@ int cmd_nodes(const exp::CliArgs& args) {
               "%llu replicas started\n",
               static_cast<unsigned long long>(r.requests),
               static_cast<unsigned long long>(r.responses_ok),
-              static_cast<unsigned long long>(r.rejected),
-              static_cast<unsigned long long>(r.cold_starts),
-              static_cast<unsigned long long>(r.replicas_started));
+              static_cast<unsigned long long>(r.stats.rejected),
+              static_cast<unsigned long long>(r.stats.cold_starts),
+              static_cast<unsigned long long>(r.stats.replicas_started));
   std::printf("total p50/p95/p99 %s / %s / %s; cold startup p50/p95 %s / %s\n",
               exp::fmt_ms(r.total_p50_ms).c_str(),
               exp::fmt_ms(r.total_p95_ms).c_str(),
@@ -422,18 +439,19 @@ int cmd_nodes(const exp::CliArgs& args) {
                         "Busy"}};
   for (const exp::ClusterNodeReport& n : r.nodes)
     table.add_row({n.name, n.state, std::to_string(n.replicas),
-                   exp::fmt_mib(n.mem_used), std::to_string(n.replicas_placed),
-                   std::to_string(n.snapshot_hits),
-                   std::to_string(n.snapshot_misses),
+                   exp::fmt_mib(n.mem_used),
+                   std::to_string(n.stats.replicas_placed),
+                   std::to_string(n.stats.snapshot_hits),
+                   std::to_string(n.stats.snapshot_misses),
                    std::to_string(n.store_pages) + " (" +
                        exp::fmt_mib(n.store_pages * 4096) + ")",
                    std::to_string(n.store_evicted_pages),
-                   exp::fmt_mib(n.remote_bytes_fetched),
-                   std::to_string(n.migrations_out) + "/" +
-                       std::to_string(n.migrations_in),
-                   std::to_string(n.warmth_replicas_migrated) + "/" +
-                       std::to_string(n.warmth_replicas_destroyed),
-                   exp::fmt_ms(n.busy_ms, 1)});
+                   exp::fmt_mib(n.stats.remote_bytes_fetched),
+                   std::to_string(n.stats.migrations_out) + "/" +
+                       std::to_string(n.stats.migrations_in),
+                   std::to_string(n.stats.warmth_replicas_migrated) + "/" +
+                       std::to_string(n.stats.warmth_replicas_destroyed),
+                   exp::fmt_ms(n.stats.busy.to_millis(), 1)});
   std::printf("%s", table.to_string().c_str());
   return 0;
 }
@@ -473,7 +491,7 @@ int cmd_store(const exp::CliArgs& args) {
               "%s / %s\n",
               static_cast<unsigned long long>(r.requests),
               static_cast<unsigned long long>(r.responses_ok),
-              static_cast<unsigned long long>(r.cold_starts),
+              static_cast<unsigned long long>(r.stats.cold_starts),
               exp::fmt_ms(r.cold_startup_p50_ms).c_str(),
               exp::fmt_ms(r.cold_startup_p95_ms).c_str());
   std::printf("store: %llu page hits (%s not refetched), delta traffic %s, "
@@ -486,13 +504,13 @@ int cmd_store(const exp::CliArgs& args) {
   exp::TextTable table{{"Node", "State", "Hit pages", "Delta MiB", "Clones",
                         "Stored", "Templates", "Registry MiB"}};
   for (const exp::ClusterNodeReport& n : r.nodes)
-    table.add_row({n.name, n.state, std::to_string(n.store_hit_pages),
-                   exp::fmt_mib(n.store_delta_bytes),
-                   std::to_string(n.template_clones),
+    table.add_row({n.name, n.state, std::to_string(n.stats.store_hit_pages),
+                   exp::fmt_mib(n.stats.store_delta_bytes),
+                   std::to_string(n.stats.template_clones),
                    std::to_string(n.store_pages) + " (" +
                        exp::fmt_mib(n.store_pages * 4096) + ")",
                    std::to_string(n.store_templates),
-                   exp::fmt_mib(n.remote_bytes_fetched)});
+                   exp::fmt_mib(n.stats.remote_bytes_fetched)});
   std::printf("%s", table.to_string().c_str());
   return 0;
 }
@@ -662,21 +680,17 @@ int cmd_bench(const exp::CliArgs& args) {
 // and firing counts per site) plus the snapshot circuit-breaker table.
 int cmd_faults(const exp::CliArgs& args) {
   const double rate = args.get_double_or("rate", 0.05);
-  exp::ChaosScenarioConfig cfg;
-  cfg.seed = static_cast<std::uint64_t>(args.get_int_or("seed", 42));
+  exp::ClusterScenarioConfig cfg = chaos_config(
+      static_cast<std::uint64_t>(args.get_int_or("seed", 42)), rate);
   cfg.duration = sim::Duration::seconds_f(args.get_double_or("duration-s", 600.0));
   cfg.restore_max_attempts = static_cast<int>(args.get_int_or("attempts", 3));
   cfg.quarantine_threshold =
       static_cast<std::uint32_t>(args.get_int_or("quarantine", 3));
-  cfg.faults.seed = cfg.seed;
-  cfg.faults.image_corruption_rate = rate;
-  cfg.faults.image_read_error_rate = rate / 2;
   cfg.faults.truncated_write_rate = rate / 2;
-  cfg.faults.registry_stall_rate = rate;
   cfg.faults.registry_disconnect_rate = rate / 2;
   cfg.faults.node_crash_rate = args.get_double_or("crash-rate", rate / 10);
 
-  const exp::ChaosScenarioResult r = exp::run_chaos_scenario(cfg);
+  const exp::ClusterScenarioResult r = exp::run_cluster_scenario(cfg);
 
   std::printf("fault plan (seed %llu): corruption %s, read-error %s, "
               "truncated-write %s,\n  registry stall %s / disconnect %s, "
@@ -700,11 +714,11 @@ int cmd_faults(const exp::CliArgs& args) {
               exp::fmt_percent(r.fallback_rate).c_str());
   std::printf("retries %llu, quarantines %llu, rebakes %llu, node crashes "
               "%llu (recovered %llu)\n\n",
-              static_cast<unsigned long long>(r.restore_retries),
-              static_cast<unsigned long long>(r.snapshot_quarantines),
-              static_cast<unsigned long long>(r.snapshot_rebakes),
-              static_cast<unsigned long long>(r.node_crashes),
-              static_cast<unsigned long long>(r.node_recoveries));
+              static_cast<unsigned long long>(r.stats.restore_retries),
+              static_cast<unsigned long long>(r.stats.snapshot_quarantines),
+              static_cast<unsigned long long>(r.stats.snapshot_rebakes),
+              static_cast<unsigned long long>(r.stats.node_crashes),
+              static_cast<unsigned long long>(r.stats.node_recoveries));
 
   exp::TextTable sites{{"Fault site", "Fired"}};
   for (const auto& [site, fired] : r.fired_by_site)
