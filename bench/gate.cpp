@@ -75,7 +75,11 @@ Flags parse_flags(int argc, const char* const* argv, const char* name,
 Row& Row::add(const char* key, const char* fmt, ...) {
   std::va_list args;
   va_start(args, fmt);
-  fields_.push_back({"\"" + std::string{key} + "\": " + vformat(fmt, args)});
+  std::string field = "\"";
+  field += key;
+  field += "\": ";
+  field += vformat(fmt, args);
+  fields_.push_back({std::move(field)});
   va_end(args);
   return *this;
 }

@@ -8,6 +8,7 @@
 
 #include "criu/crc32.hpp"
 #include "criu/dump.hpp"
+#include "criu/page_store.hpp"
 #include "criu/restore.hpp"
 #include "exp/calibration.hpp"
 
@@ -88,6 +89,49 @@ void BM_DigestListCached(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_DigestListCached)->Arg(256)->Arg(4096)->Arg(65536);
+
+// A template freeze on a node whose unbounded store already holds
+// `range(0)` records: register one 3,591-digest template (a fleet
+// function's chain) of which 3,392 digests are held already, as the fleet's
+// shared runtime pages are. A resident template pins every held record, so
+// dropping the measured template and applying a budget of exactly those
+// records (untimed) evicts its 199 new pages: every iteration starts from
+// the same store. That reset scans the whole table, so the iteration count
+// is fixed to keep the untimed part short.
+void BM_PageStoreMaterialize(benchmark::State& state) {
+  constexpr std::size_t kDigests = 3591;
+  constexpr std::size_t kHeld = 3392;
+  const auto records = static_cast<std::size_t>(state.range(0));
+  const os::PatternSource src{42};
+  criu::PageStore::TemplateInfo resident;
+  for (std::size_t i = 0; i < records; ++i)
+    resident.digests.push_back(src.page_digest(i));
+  criu::PageStore::TemplateInfo fn;
+  fn.digests.assign(resident.digests.begin(),
+                    resident.digests.begin() + kHeld);
+  for (std::size_t i = 0; i < kDigests - kHeld; ++i)
+    fn.digests.push_back(src.page_digest(records + i));
+  criu::PageStore store;
+  store.register_template("resident", std::move(resident));
+  criu::PageStore::TemplateInfo info = fn;
+  for (auto _ : state) {
+    store.register_template("fn", std::move(info));
+    benchmark::ClobberMemory();
+    state.PauseTiming();
+    store.drop_template("fn");
+    store.set_capacity(records * os::kPageSize);
+    store.set_capacity(0);
+    info = fn;
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kDigests));
+}
+BENCHMARK(BM_PageStoreMaterialize)
+    ->Arg(4000)
+    ->Arg(50000)
+    ->Arg(400000)
+    ->Iterations(1000);
 
 void BM_EncodeDecodePagemap(benchmark::State& state) {
   std::vector<criu::PagemapEntry> entries;

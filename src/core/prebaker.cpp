@@ -1,5 +1,6 @@
 #include "core/prebaker.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -60,9 +61,9 @@ BakedSnapshot Prebaker::bake(const rt::FunctionSpec& spec,
 }
 
 void SnapshotStore::put(BakedSnapshot snapshot) {
-  const std::string k = key(snapshot.function_name, snapshot.policy);
-  snapshots_[k] = std::move(snapshot);
-  touch(k);
+  Entry& e = snapshots_[key(snapshot.function_name, snapshot.policy)];
+  e.snapshot = std::move(snapshot);
+  e.tick = ++tick_;
   evict_to_fit();
 }
 
@@ -75,18 +76,14 @@ const BakedSnapshot& SnapshotStore::get(const std::string& function_name,
     throw std::out_of_range{"SnapshotStore: no snapshot for " + k};
   }
   ++stats_.hits;
-  touch(k);
-  return it->second;
-}
-
-void SnapshotStore::touch(const std::string& k) const {
-  std::erase(lru_, k);
-  lru_.push_back(k);
+  it->second.tick = ++tick_;
+  return it->second.snapshot;
 }
 
 std::uint64_t SnapshotStore::stored_bytes() const {
   std::uint64_t total = 0;
-  for (const auto& [k, snap] : snapshots_) total += snap.images.nominal_total();
+  for (const auto& [k, e] : snapshots_)
+    total += e.snapshot.images.nominal_total();
   return total;
 }
 
@@ -97,10 +94,11 @@ void SnapshotStore::set_capacity(std::uint64_t bytes) {
 
 void SnapshotStore::evict_to_fit() {
   if (capacity_ == 0) return;
-  while (stored_bytes() > capacity_ && lru_.size() > 1) {
-    const std::string victim = lru_.front();
-    lru_.erase(lru_.begin());
-    snapshots_.erase(victim);
+  while (stored_bytes() > capacity_ && snapshots_.size() > 1) {
+    snapshots_.erase(std::min_element(
+        snapshots_.begin(), snapshots_.end(), [](const auto& a, const auto& b) {
+          return a.second.tick < b.second.tick;
+        }));
     ++stats_.evictions;
   }
 }

@@ -98,15 +98,19 @@ class SnapshotStore {
   const CacheStats& cache_stats() const { return stats_; }
 
  private:
-  void touch(const std::string& key) const;
+  // A snapshot and its recency: the smallest tick is the LRU victim.
+  struct Entry {
+    BakedSnapshot snapshot;
+    mutable std::uint64_t tick = 0;
+  };
+
   void evict_to_fit();
   static std::string key(const std::string& name, const SnapshotPolicy& policy) {
     return name + "/" + policy.tag();
   }
 
-  std::map<std::string, BakedSnapshot> snapshots_;
-  // LRU order: front = least recently used.
-  mutable std::vector<std::string> lru_;
+  std::map<std::string, Entry> snapshots_;
+  mutable std::uint64_t tick_ = 0;
   std::uint64_t capacity_ = 0;
   mutable CacheStats stats_;
 };

@@ -7,48 +7,114 @@
 
 namespace prebake::criu {
 
+namespace {
+constexpr std::size_t kMinSlots = 16;
+}  // namespace
+
+std::uint64_t PageStore::slot_hash(std::uint64_t digest) {
+  // MurmurHash3's 64-bit finalizer: digests like 1, 2, 3 spread over the
+  // table instead of filling one run.
+  digest ^= digest >> 33;
+  digest *= 0xff51afd7ed558ccdULL;
+  digest ^= digest >> 33;
+  digest *= 0xc4ceb9fe1a85ec53ULL;
+  digest ^= digest >> 33;
+  return digest;
+}
+
+std::size_t PageStore::find(std::uint64_t digest) const {
+  if (slots_.empty()) return kNone;
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = slot_hash(digest) & mask;; i = (i + 1) & mask) {
+    if (slots_[i].tick == 0) return kNone;
+    if (slots_[i].digest == digest) return i;
+  }
+}
+
+void PageStore::reserve(std::size_t records) {
+  // At most 7/8 full. At 3/4, a fleet node's ~50k-record store lands just
+  // past a doubling and sits in twice the slots, 38% full, which costs more
+  // memory per record than a node-based hash map.
+  if (records * 8 <= slots_.size() * 7) return;
+  std::size_t n = std::max(slots_.size(), kMinSlots);
+  while (records * 8 > n * 7) n *= 2;
+  const std::vector<Slot> old = std::exchange(slots_, std::vector<Slot>(n));
+  const std::size_t mask = n - 1;
+  for (const Slot& s : old) {
+    if (s.tick == 0) continue;
+    std::size_t i = slot_hash(s.digest) & mask;
+    while (slots_[i].tick != 0) i = (i + 1) & mask;
+    slots_[i] = s;
+  }
+}
+
+PageStore::Slot& PageStore::stamp(std::uint64_t digest) {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = slot_hash(digest) & mask;
+  while (slots_[i].tick != 0 && slots_[i].digest != digest)
+    i = (i + 1) & mask;
+  Slot& s = slots_[i];
+  if (s.tick == 0) {
+    s.digest = digest;
+    ++size_;
+  }
+  s.tick = tick_;
+  return s;
+}
+
+void PageStore::erase_slot(std::size_t i) {
+  // Backward-shift deletion: pull each later member of the probe run into
+  // the hole unless the hole lies before its home slot, so no tombstones.
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t j = (i + 1) & mask; slots_[j].tick != 0;
+       j = (j + 1) & mask) {
+    const std::size_t home = slot_hash(slots_[j].digest) & mask;
+    if (((j - home) & mask) >= ((j - i) & mask)) {
+      slots_[i] = slots_[j];
+      i = j;
+    }
+  }
+  slots_[i] = Slot{};
+  --size_;
+}
+
 std::uint64_t PageStore::missing_unique_pages(
     std::span<const std::uint64_t> digests) const {
   std::unordered_set<std::uint64_t> missing;
   for (const std::uint64_t d : digests)
-    if (!pages_.contains(d)) missing.insert(d);
+    if (!contains(d)) missing.insert(d);
   return missing.size();
 }
 
 std::uint64_t PageStore::insert(std::span<const std::uint64_t> digests) {
   ++tick_;
-  std::uint64_t fresh = 0;
-  for (const std::uint64_t d : digests) {
-    auto [it, inserted] = pages_.try_emplace(d);
-    it->second.tick = tick_;
-    if (inserted) ++fresh;
-  }
+  reserve(size_ + digests.size());
+  const std::uint64_t before = size_;
+  for (const std::uint64_t d : digests) stamp(d);
+  const std::uint64_t fresh = size_ - before;
   evict_to_fit();
   return fresh;
 }
 
 void PageStore::pin(std::span<const std::uint64_t> digests) {
   ++tick_;
-  for (const std::uint64_t d : digests) {
-    auto [it, inserted] = pages_.try_emplace(d);
-    ++it->second.refcount;
-    it->second.tick = tick_;
-  }
+  reserve(size_ + digests.size());
+  for (const std::uint64_t d : digests) ++stamp(d).refcount;
 }
 
 void PageStore::unpin(std::span<const std::uint64_t> digests) {
   for (const std::uint64_t d : digests) {
-    const auto it = pages_.find(d);
-    if (it == pages_.end() || it->second.refcount == 0)
+    const std::size_t i = find(d);
+    if (i == kNone || slots_[i].refcount == 0)
       throw std::logic_error{"PageStore::unpin: refcount underflow"};
-    --it->second.refcount;
+    --slots_[i].refcount;
   }
   evict_to_fit();
 }
 
 std::uint32_t PageStore::refcount(std::uint64_t digest) const {
-  const auto it = pages_.find(digest);
-  return it == pages_.end() ? 0 : it->second.refcount;
+  const std::size_t i = find(digest);
+  return i == kNone ? 0 : slots_[i].refcount;
 }
 
 void PageStore::set_capacity(std::uint64_t bytes) {
@@ -57,18 +123,20 @@ void PageStore::set_capacity(std::uint64_t bytes) {
 }
 
 void PageStore::evict_to_fit() {
-  if (capacity_ == 0 || stored_bytes() <= capacity_) return;
-  // Unpinned pages only, least recently inserted/pinned first. Collect and
-  // sort (digest breaks tick ties) so eviction order is deterministic.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> victims;  // (tick, digest)
-  for (const auto& [digest, rec] : pages_)
-    if (rec.refcount == 0) victims.emplace_back(rec.tick, digest);
-  std::sort(victims.begin(), victims.end());
-  for (const auto& [tick, digest] : victims) {
-    if (stored_bytes() <= capacity_) break;
-    pages_.erase(digest);
-    ++stats_.evicted_pages;
-  }
+  const std::uint64_t budget_pages = capacity_ / os::kPageSize;
+  if (capacity_ == 0 || size_ <= budget_pages) return;
+  // Unpinned pages only, least recently inserted/pinned first. (tick,
+  // digest) is a total order, so selecting the k oldest gives the same
+  // victims as sorting them all.
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> victims;
+  for (const Slot& s : slots_)
+    if (s.tick != 0 && s.refcount == 0) victims.emplace_back(s.tick, s.digest);
+  const auto k = static_cast<std::ptrdiff_t>(
+      std::min<std::uint64_t>(size_ - budget_pages, victims.size()));
+  std::nth_element(victims.begin(), victims.begin() + k, victims.end());
+  for (auto v = victims.begin(); v != victims.begin() + k; ++v)
+    erase_slot(find(v->second));
+  stats_.evicted_pages += static_cast<std::uint64_t>(k);
 }
 
 const PageStore::TemplateInfo* PageStore::find_template(
@@ -80,7 +148,10 @@ const PageStore::TemplateInfo* PageStore::find_template(
 void PageStore::register_template(const std::string& key, TemplateInfo info) {
   if (templates_.contains(key))
     throw std::logic_error{"PageStore::register_template: duplicate key " + key};
+  // One probe per digest inserts and pins it; evicting only afterwards keeps
+  // every page this template pins.
   pin(info.digests);
+  evict_to_fit();
   ++stats_.templates_materialized;
   if (!info.base_key.empty()) {
     const auto base = templates_.find(info.base_key);
@@ -122,7 +193,8 @@ std::vector<os::Pid> PageStore::drop_all_templates() {
 void PageStore::clear_pages() {
   if (!templates_.empty())
     throw std::logic_error{"PageStore::clear_pages: templates still registered"};
-  pages_.clear();
+  std::fill(slots_.begin(), slots_.end(), Slot{});
+  size_ = 0;
 }
 
 }  // namespace prebake::criu

@@ -19,8 +19,10 @@
 // pages can exceed the budget while their template lives (they are the
 // template's RSS, resident regardless). Evicting a page forgets its record
 // only: node-local image files the platform materialized stay in place.
-// Records live in a hash table; no result depends on its iteration order
-// (eviction sorts its victims). Like every other container in the
+// Records live inline in a flat open-addressing table (linear probing,
+// backward-shift deletion); no result depends on slot order (eviction
+// selects its victims by (tick, digest)), and the store holds no pointer to
+// itself, so it is safe to move. Like every other container in the
 // model, mutation is not thread-safe — each WorkerNode owns one store and
 // each simulation runs its scenario single-threaded.
 #pragma once
@@ -29,7 +31,6 @@
 #include <map>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "os/page_source.hpp"
@@ -72,7 +73,7 @@ class PageStore {
   };
 
   // --- content-addressed pages ---------------------------------------------
-  bool contains(std::uint64_t digest) const { return pages_.contains(digest); }
+  bool contains(std::uint64_t digest) const { return find(digest) != kNone; }
   // Digests (unique within the list) the store does not hold — what a delta
   // transfer must move.
   std::uint64_t missing_unique_pages(
@@ -89,21 +90,27 @@ class PageStore {
   void pin(std::span<const std::uint64_t> digests);
   void unpin(std::span<const std::uint64_t> digests);
   std::uint32_t refcount(std::uint64_t digest) const;
+  // The hash whose low bits pick a digest's first probe slot. Public so
+  // tests can build digests that collide.
+  static std::uint64_t slot_hash(std::uint64_t digest);
 
   // --- byte budget ----------------------------------------------------------
   // 0 = unbounded. Shrinking evicts unpinned pages immediately (LRU first);
   // pinned pages are never evicted and may exceed the budget.
   void set_capacity(std::uint64_t bytes);
   std::uint64_t capacity() const { return capacity_; }
-  std::uint64_t stored_pages() const { return pages_.size(); }
-  std::uint64_t stored_bytes() const { return pages_.size() * os::kPageSize; }
+  std::uint64_t stored_pages() const { return size_; }
+  std::uint64_t stored_bytes() const { return size_ * os::kPageSize; }
 
   // --- frozen templates -----------------------------------------------------
   bool has_template(const std::string& key) const {
     return templates_.contains(key);
   }
   const TemplateInfo* find_template(const std::string& key) const;
-  // Pins (and inserts) the template's digests for its lifetime.
+  // Inserts and pins the template's digests for its lifetime, in one probe
+  // per digest, then evicts unpinned overflow. A page the template pins is
+  // never evicted by its own registration, even when the budget is smaller
+  // than the template's new pages.
   void register_template(const std::string& key, TemplateInfo info);
   // Unpins the template's digests and forgets it. Returns the template pid
   // (kNoPid if the key was unknown); the caller owns killing/reaping it.
@@ -132,14 +139,26 @@ class PageStore {
   PageStoreStats& stats_mut() { return stats_; }
 
  private:
-  struct PageRecord {
-    std::uint32_t refcount = 0;  // pinning templates
+  // One record, inline in its table slot. tick 0 marks an empty slot: every
+  // stamping operation advances tick_ first, so live records have tick >= 1.
+  struct Slot {
+    std::uint64_t digest = 0;
     std::uint64_t tick = 0;      // recency for LRU eviction
+    std::uint32_t refcount = 0;  // pinning templates
   };
+  static constexpr std::size_t kNone = ~std::size_t{0};
 
+  std::size_t find(std::uint64_t digest) const;  // slot index or kNone
+  // Grows the table (at most once) so `records` fit at <= 7/8 load.
+  void reserve(std::size_t records);
+  // The digest's slot, created if absent (size_ counts it), stamped with
+  // the current tick.
+  Slot& stamp(std::uint64_t digest);
+  void erase_slot(std::size_t i);
   void evict_to_fit();
 
-  std::unordered_map<std::uint64_t, PageRecord> pages_;  // digest -> record
+  std::vector<Slot> slots_;  // power-of-two length (or empty)
+  std::uint64_t size_ = 0;   // live records
   std::map<std::string, TemplateInfo> templates_;
   std::uint64_t capacity_ = 0;  // bytes; 0 = unbounded
   std::uint64_t tick_ = 0;

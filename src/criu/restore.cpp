@@ -919,12 +919,14 @@ RestoreResult Restorer::run(const RestorePlan& plan,
   // link's pages. When the plan says so, freeze the restored process into an
   // immutable template and hand back a COW clone ("restore once, clone
   // many"): later replicas of the same key take the kCloneTemplate path and
-  // skip the image reads entirely.
+  // skip the image reads entirely. Registering the template inserts and pins
+  // every link's pages in one pass, so a freeze records nothing up front.
   if (store != nullptr && paging.mode == PagingMode::kEager) {
-    for (std::size_t i = first_replayed; i < n; ++i)
-      if (const auto& pages = plan.links[i].images->decoded().pages)
-        store->insert(pages->digests());
-    if (!plan.freeze_key.empty()) {
+    if (plan.freeze_key.empty()) {
+      for (std::size_t i = first_replayed; i < n; ++i)
+        if (const auto& pages = plan.links[i].images->decoded().pages)
+          store->insert(pages->digests());
+    } else {
       obs::Span tspan = tr.span("template-materialize", "criu");
       tspan.attr("key", plan.freeze_key);
       k.freeze(pid, opts.criu_caps);

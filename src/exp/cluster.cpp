@@ -33,9 +33,12 @@ ClusterScenarioResult detail::run_cluster_impl(
   cfg.node_recovery_delay = config.node_recovery_delay;
   faas::Platform platform{kernel, testbed_runtime(), cfg, config.seed};
   platform.resources().set_policy(config.policy);
-  for (std::uint32_t i = 0; i < config.nodes; ++i)
-    platform.resources().add_node("w" + std::to_string(i + 1),
-                                  config.node_mem_bytes, config.cpus_per_node);
+  for (std::uint32_t i = 0; i < config.nodes; ++i) {
+    std::string name = "w";
+    name += std::to_string(i + 1);
+    platform.resources().add_node(std::move(name), config.node_mem_bytes,
+                                  config.cpus_per_node);
+  }
 
   const rt::FunctionSpec specs[] = {noop_spec(), markdown_spec(),
                                     image_resizer_spec()};

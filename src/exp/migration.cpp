@@ -72,9 +72,12 @@ MigrationScenarioResult detail::run_migration_impl(
   cfg.evacuation_cooldown = config.evacuation_cooldown;
   faas::Platform platform{kernel, testbed_runtime(), cfg, config.seed};
   platform.resources().set_policy(config.policy);
-  for (std::uint32_t i = 0; i < config.nodes; ++i)
-    platform.resources().add_node("w" + std::to_string(i + 1),
-                                  config.node_mem_bytes, config.cpus_per_node);
+  for (std::uint32_t i = 0; i < config.nodes; ++i) {
+    std::string name = "w";
+    name += std::to_string(i + 1);
+    platform.resources().add_node(std::move(name), config.node_mem_bytes,
+                                  config.cpus_per_node);
+  }
 
   rt::FunctionSpec spec = noop_spec();
   spec.request_dirty_pages = config.request_dirty_pages;

@@ -67,9 +67,12 @@ ScaleScenarioResult detail::run_scale_impl(const ScaleScenarioConfig& config,
   cfg.page_store = config.policy == KeepAlivePolicy::kCowClone;
   cfg.aggregate_request_log = true;
   faas::Platform platform{kernel, testbed_runtime(), cfg, config.seed};
-  for (std::uint32_t i = 0; i < config.nodes; ++i)
-    platform.resources().add_node("w" + std::to_string(i + 1),
-                                  config.node_mem_bytes, config.cpus_per_node);
+  for (std::uint32_t i = 0; i < config.nodes; ++i) {
+    std::string name = "w";
+    name += std::to_string(i + 1);
+    platform.resources().add_node(std::move(name), config.node_mem_bytes,
+                                  config.cpus_per_node);
+  }
 
   faas::ZipfTraceConfig workload;
   workload.functions = config.functions;

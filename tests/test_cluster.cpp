@@ -155,8 +155,11 @@ TEST(ClusterPlatform, SingleCpuNodeSerializesService) {
 TEST(ClusterPlatform, RoundRobinSpreadsReplicas) {
   Harness h;
   h.platform.resources().set_policy(PlacementPolicy::kRoundRobin);
-  for (int i = 0; i < 3; ++i)
-    h.platform.resources().add_node("n" + std::to_string(i), 8 * GiB);
+  for (int i = 0; i < 3; ++i) {
+    std::string name = "n";
+    name += std::to_string(i);
+    h.platform.resources().add_node(std::move(name), 8 * GiB);
+  }
   h.platform.deploy(exp::noop_spec(), StartMode::kVanilla);
   h.platform.scale_up("noop", 3);
   for (const WorkerNode& n : h.platform.resources().nodes())
@@ -204,6 +207,61 @@ TEST(ClusterPlatform, RemoteRegistryFirstRestorePaysFetch) {
   EXPECT_TRUE(log[0].cold_start);
   EXPECT_TRUE(log[1].cold_start);
   EXPECT_GT(log[0].startup.to_millis(), log[1].startup.to_millis() * 1.5);
+}
+
+TEST(ClusterPlatform, NodeStoreSurvivesNodeVectorGrowth) {
+  // Adding nodes reallocates the node vector and moves every WorkerNode
+  // with its page store; the moved store must still hold w1's template.
+  PlatformConfig cfg;
+  cfg.remote_registry = true;
+  cfg.page_store = true;
+  cfg.idle_timeout = sim::Duration::seconds(1);
+  Harness h{cfg};
+  h.platform.resources().set_policy(PlacementPolicy::kSnapshotLocality);
+  const NodeId w1 = h.platform.resources().add_node("w1", 8 * GiB);
+  h.platform.deploy(exp::noop_spec(), StartMode::kPrebaked,
+                    core::SnapshotPolicy::warmup(1));
+  const auto invoke_once = [&] {
+    bool done = false;
+    h.platform.invoke("noop", h.request_for("noop"),
+                      [&](const funcs::Response& res, const RequestMetrics&) {
+                        EXPECT_TRUE(res.ok());
+                        done = true;
+                      });
+    h.pump(done);
+    h.kernel.sim().run();  // idle out
+  };
+  invoke_once();
+
+  const criu::PageStore& before = h.platform.resources().node(w1).store();
+  ASSERT_EQ(before.template_count(), 1u);
+  const std::uint64_t stored = before.stored_pages();
+  const std::vector<std::uint64_t> digests =
+      before.templates().begin()->second.digests;
+  std::vector<std::uint32_t> refcounts;
+  for (const std::uint64_t d : digests) refcounts.push_back(before.refcount(d));
+  ASSERT_GT(stored, 0u);
+
+  const std::size_t capacity = h.platform.resources().nodes().capacity();
+  for (std::size_t i = 2; i <= capacity + 1; ++i) {
+    std::string name = "w";
+    name += std::to_string(i);
+    h.platform.resources().add_node(std::move(name), 8 * GiB);
+  }
+  ASSERT_GT(h.platform.resources().nodes().capacity(), capacity);
+
+  const criu::PageStore& store = h.platform.resources().node(w1).store();
+  EXPECT_EQ(store.stored_pages(), stored);
+  EXPECT_EQ(store.template_count(), 1u);
+  for (std::size_t i = 0; i < digests.size(); ++i) {
+    ASSERT_TRUE(store.contains(digests[i]));
+    ASSERT_EQ(store.refcount(digests[i]), refcounts[i]);
+  }
+  // The next start lands on w1, the only node holding the pages, and
+  // clones the template out of the moved store.
+  invoke_once();
+  EXPECT_EQ(store.stats().template_clones, 1u);
+  EXPECT_EQ(store.stored_pages(), stored);
 }
 
 TEST(ClusterPlatform, LocalityPolicyReplacesOnCachedNode) {

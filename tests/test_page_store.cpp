@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <numeric>
+#include <random>
+#include <set>
 
 #include "criu/dump.hpp"
 #include "criu/restore.hpp"
@@ -117,6 +121,245 @@ TEST(TemplateTest, DropAllReturnsEveryPid) {
   EXPECT_EQ(pids[0], 10);
   EXPECT_EQ(pids[1], 11);
   EXPECT_EQ(store.template_count(), 0u);
+}
+
+TEST(TemplateTest, RegisterUnderTinyBudgetKeepsEveryPinnedPage) {
+  // A budget smaller than one template's new pages: registering evicts the
+  // older unpinned pages but none of the template's own, which stay pinned
+  // over budget until the template is dropped. evicted_pages counts the two
+  // old pages only: no template page is evicted and re-created.
+  PageStore store;
+  const std::uint64_t old_pages[] = {1, 2};
+  store.insert(old_pages);
+  store.set_capacity(2 * kPageSize);
+  PageStore::TemplateInfo info;
+  info.pid = 9;
+  info.digests = {10, 11, 12, 13, 14};
+  store.register_template("t", std::move(info));
+  EXPECT_EQ(store.stored_pages(), 5u);
+  EXPECT_FALSE(store.contains(1));
+  EXPECT_FALSE(store.contains(2));
+  for (std::uint64_t d = 10; d <= 14; ++d) EXPECT_EQ(store.refcount(d), 1u);
+  EXPECT_EQ(store.stats().evicted_pages, 2u);
+
+  // Dropping the template applies the budget: equal ticks, so the lowest
+  // digests go first.
+  EXPECT_EQ(store.drop_template("t"), 9);
+  EXPECT_EQ(store.stored_pages(), 2u);
+  EXPECT_TRUE(store.contains(13));
+  EXPECT_TRUE(store.contains(14));
+  EXPECT_EQ(store.stats().evicted_pages, 5u);
+}
+
+TEST(StoreTest, MovedStoreKeepsItsRecords) {
+  PageStore store;
+  std::vector<std::uint64_t> digests(100);
+  std::iota(digests.begin(), digests.end(), 1);
+  store.insert(digests);
+  PageStore::TemplateInfo info;
+  info.pid = 7;
+  info.digests = {1, 2, 3};
+  store.register_template("t", std::move(info));
+  store.set_capacity(64 * kPageSize);  // evicts unpinned 4..39
+
+  PageStore moved{std::move(store)};
+  EXPECT_EQ(moved.stored_pages(), 64u);
+  EXPECT_EQ(moved.refcount(1), 1u);
+  EXPECT_FALSE(moved.contains(39));
+  EXPECT_TRUE(moved.contains(40));
+  EXPECT_TRUE(moved.has_template("t"));
+  EXPECT_EQ(moved.stats().evicted_pages, 36u);
+
+  // A move-assigned store keeps working: it grows, probes and evicts.
+  PageStore assigned;
+  assigned = std::move(moved);
+  std::vector<std::uint64_t> more(200);
+  std::iota(more.begin(), more.end(), 1000);
+  EXPECT_EQ(assigned.insert(more), 200u);
+  EXPECT_EQ(assigned.stored_pages(), 64u);
+  EXPECT_FALSE(assigned.contains(100));
+  EXPECT_TRUE(assigned.contains(1199));
+  EXPECT_EQ(assigned.drop_template("t"), 7);
+  EXPECT_EQ(assigned.refcount(1), 0u);
+  EXPECT_TRUE(assigned.contains(1));
+  EXPECT_EQ(assigned.stats().evicted_pages, 36u + 200u);
+}
+
+// The store's documented semantics on a std::map: each record holds a
+// refcount and a recency tick, and eviction sorts every unpinned record by
+// (tick, digest), dropping the oldest until the budget holds.
+class ReferenceStore {
+ public:
+  std::uint64_t insert(std::span<const std::uint64_t> digests) {
+    ++tick_;
+    std::uint64_t fresh = 0;
+    for (const std::uint64_t d : digests) {
+      const auto [it, created] = pages_.try_emplace(d);
+      it->second.tick = tick_;
+      if (created) ++fresh;
+    }
+    evict();
+    return fresh;
+  }
+  void pin(std::span<const std::uint64_t> digests) {
+    ++tick_;
+    for (const std::uint64_t d : digests) {
+      Record& r = pages_[d];
+      ++r.refcount;
+      r.tick = tick_;
+    }
+  }
+  void unpin(std::span<const std::uint64_t> digests) {
+    for (const std::uint64_t d : digests) --pages_.at(d).refcount;
+    evict();
+  }
+  void register_template(std::span<const std::uint64_t> digests) {
+    pin(digests);
+    evict();
+  }
+  void set_capacity(std::uint64_t bytes) {
+    capacity_ = bytes;
+    evict();
+  }
+  void clear() { pages_.clear(); }
+
+  bool contains(std::uint64_t d) const { return pages_.contains(d); }
+  std::uint32_t refcount(std::uint64_t d) const {
+    const auto it = pages_.find(d);
+    return it == pages_.end() ? 0 : it->second.refcount;
+  }
+  std::uint64_t size() const { return pages_.size(); }
+  std::uint64_t missing_unique(std::span<const std::uint64_t> digests) const {
+    std::set<std::uint64_t> missing;
+    for (const std::uint64_t d : digests)
+      if (!contains(d)) missing.insert(d);
+    return missing.size();
+  }
+  std::uint64_t evicted() const { return evicted_; }
+
+ private:
+  struct Record {
+    std::uint32_t refcount = 0;
+    std::uint64_t tick = 0;
+  };
+  void evict() {
+    if (capacity_ == 0) return;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> victims;
+    for (const auto& [d, r] : pages_)
+      if (r.refcount == 0) victims.emplace_back(r.tick, d);
+    std::sort(victims.begin(), victims.end());
+    for (const auto& [tick, d] : victims) {
+      if (pages_.size() * kPageSize <= capacity_) break;
+      pages_.erase(d);
+      ++evicted_;
+    }
+  }
+
+  std::map<std::uint64_t, Record> pages_;
+  std::uint64_t tick_ = 0;
+  std::uint64_t capacity_ = 0;
+  std::uint64_t evicted_ = 0;
+};
+
+TEST(StoreTest, MatchesReferenceModel) {
+  // A small pool keeps the table at 16..64 slots: digest 0, small integers,
+  // four digests that share the last home slot at every one of those sizes
+  // (so their probe run wraps to slot 0) and three homed at slot 0.
+  std::vector<std::uint64_t> pool{0, 1, 2, 3, 4, 5, 6, 7};
+  int last_home = 0;
+  int first_home = 0;
+  for (std::uint64_t d = 8; last_home < 4 || first_home < 3; ++d) {
+    const std::uint64_t home = PageStore::slot_hash(d) % 64;
+    if (home == 63 && last_home < 4) {
+      pool.push_back(d);
+      ++last_home;
+    } else if (home == 0 && first_home < 3) {
+      pool.push_back(d);
+      ++first_home;
+    }
+  }
+  const std::uint64_t absent = pool.back() + 1;
+
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    std::mt19937_64 rng{seed};
+    const auto below = [&](std::uint64_t n) { return rng() % n; };
+    PageStore store;
+    ReferenceStore ref;
+    std::map<std::string, std::vector<std::uint64_t>> templates;
+    std::vector<std::vector<std::uint64_t>> pins;
+    for (int step = 0; step < 3000; ++step) {
+      SCOPED_TRACE(::testing::Message() << "seed " << seed << " step " << step);
+      std::vector<std::uint64_t> batch(below(11));
+      for (std::uint64_t& d : batch) d = pool[below(pool.size())];
+      switch (below(7)) {
+        case 0:
+          ASSERT_EQ(store.insert(batch), ref.insert(batch));
+          break;
+        case 1:
+          store.pin(batch);
+          ref.pin(batch);
+          pins.push_back(batch);
+          break;
+        case 2:
+          if (!pins.empty()) {
+            const auto it = pins.begin() + static_cast<std::ptrdiff_t>(
+                                               below(pins.size()));
+            store.unpin(*it);
+            ref.unpin(*it);
+            pins.erase(it);
+          }
+          break;
+        case 3: {
+          std::string key = "t";
+          key += std::to_string(step);
+          PageStore::TemplateInfo info;
+          info.digests = batch;
+          store.register_template(key, std::move(info));
+          ref.register_template(batch);
+          templates.emplace(key, batch);
+          break;
+        }
+        case 4:
+          if (!templates.empty()) {
+            auto it = templates.begin();
+            std::advance(it, static_cast<std::ptrdiff_t>(
+                                 below(templates.size())));
+            store.drop_template(it->first);
+            ref.unpin(it->second);
+            templates.erase(it);
+          }
+          break;
+        case 5: {
+          // Unbounded, or 1..20 pages, sometimes not a whole page.
+          const std::uint64_t pages = below(21);
+          const std::uint64_t bytes =
+              pages == 0 ? 0 : pages * kPageSize + below(2) * (kPageSize / 2);
+          store.set_capacity(bytes);
+          ref.set_capacity(bytes);
+          break;
+        }
+        case 6:
+          if (below(8) == 0) {  // a node crash: rare, it empties the store
+            store.drop_all_templates();
+            for (const auto& [key, digests] : templates) ref.unpin(digests);
+            templates.clear();
+            pins.clear();
+            store.clear_pages();
+            ref.clear();
+          }
+          break;
+      }
+      ASSERT_EQ(store.stored_pages(), ref.size());
+      ASSERT_EQ(store.stats().evicted_pages, ref.evicted());
+      ASSERT_EQ(store.missing_unique_pages(pool), ref.missing_unique(pool));
+      ASSERT_EQ(store.missing_unique_pages(batch), ref.missing_unique(batch));
+      for (const std::uint64_t d : pool) {
+        ASSERT_EQ(store.contains(d), ref.contains(d)) << "digest " << d;
+        ASSERT_EQ(store.refcount(d), ref.refcount(d)) << "digest " << d;
+      }
+      ASSERT_FALSE(store.contains(absent));
+    }
+  }
 }
 
 // --- delta transfer + templates through the restore engine ------------------
@@ -427,6 +670,28 @@ TEST_F(TemplateRestoreTest, TemplateDroppedTemplateRematerializes) {
   EXPECT_FALSE(again.template_clone);
   EXPECT_TRUE(store.has_template("/snap/drop/"));
   EXPECT_EQ(store.stats().templates_materialized, 2u);
+}
+
+TEST_F(TemplateRestoreTest, TemplateFreezeUnderTinyBudgetKeepsItsPages) {
+  // The store's budget is smaller than the snapshot: the freeze keeps every
+  // page it pins and evicts none of them.
+  const DumpResult dump = dump_to(make_target(0xFEED), "/snap/tiny/");
+  const std::uint64_t unique =
+      PageStore{}.missing_unique_pages(dump.images.decoded().pages->digests());
+  ASSERT_GT(unique, 8u);
+  PageStore store;
+  store.set_capacity(8 * kPageSize);
+  RestoreOptions opts;
+  opts.fs_prefix = "/snap/tiny/";
+  opts.page_store = &store;
+  opts.store_key = "/snap/tiny/";
+  const RestoreResult first = Restorer{kernel_}.restore(dump.images, opts);
+  EXPECT_TRUE(first.template_materialized);
+  EXPECT_EQ(store.stored_pages(), unique);
+  EXPECT_EQ(store.stats().evicted_pages, 0u);
+  const RestoreResult second = Restorer{kernel_}.restore(dump.images, opts);
+  EXPECT_TRUE(second.template_clone);
+  EXPECT_EQ(store.stored_pages(), unique);
 }
 
 // Regression (DESIGN.md §6j): requesting a template clone together with

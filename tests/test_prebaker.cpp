@@ -180,6 +180,30 @@ TEST(SnapshotStoreLru, CapacityEvictsLeastRecentlyUsed) {
   EXPECT_EQ(store.cache_stats().evictions, 1u);
 }
 
+TEST(SnapshotStoreLru, VictimOrderFollowsInterleavedGetsAndPuts) {
+  SnapshotStore store;
+  const SnapshotPolicy p = SnapshotPolicy::no_warmup();
+  for (const char* name : {"a", "b", "c"})
+    store.put(fake_snapshot(name, p, 100 << 20));
+  // Recency, oldest first: a b c -> b c a -> c a b -> a b c.
+  (void)store.get("a", p);
+  store.put(fake_snapshot("b", p, 100 << 20));  // a re-put refreshes too
+  (void)store.get("c", p);
+  store.set_capacity(250ull << 20);  // room for two
+  EXPECT_FALSE(store.has("a", p));
+  EXPECT_TRUE(store.has("b", p));
+  EXPECT_TRUE(store.has("c", p));
+  store.put(fake_snapshot("d", p, 100 << 20));  // b c d: b goes
+  EXPECT_FALSE(store.has("b", p));
+  (void)store.get("c", p);                      // d c
+  store.put(fake_snapshot("e", p, 100 << 20));  // d c e: d goes
+  EXPECT_FALSE(store.has("d", p));
+  EXPECT_TRUE(store.has("c", p));
+  EXPECT_TRUE(store.has("e", p));
+  EXPECT_EQ(store.size(), 2u);
+  EXPECT_EQ(store.cache_stats().evictions, 3u);
+}
+
 TEST(SnapshotStoreLru, ShrinkingCapacityEvictsImmediately) {
   SnapshotStore store;
   store.put(fake_snapshot("a", SnapshotPolicy::no_warmup(), 100 << 20));
