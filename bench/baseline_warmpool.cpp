@@ -25,7 +25,8 @@ namespace {
 
 struct PolicyResult {
   std::string name;
-  faas::StreamReplayResult load;
+  std::uint64_t responses_ok = 0;
+  std::vector<double> totals_ms;  // per served request, in answer order
   std::uint64_t cold_starts = 0;
   // Integral of fleet memory over the traffic window (the provider's cost
   // of keeping replicas alive), in byte-seconds.
@@ -55,9 +56,10 @@ PolicyResult run_policy(const std::string& name, faas::StartMode mode,
 
   PolicyResult result;
   result.name = name;
-  faas::StreamReplayOptions options;
-  options.keep_request_metrics = true;
-  result.load = faas::replay_trace_stream(platform, arrivals, options);
+  result.responses_ok =
+      faas::replay_trace_stream(platform, arrivals).responses_ok;
+  for (const faas::RequestMetrics& m : platform.request_log())
+    result.totals_ms.push_back(m.total.to_millis());
   sim.run_until(start + window);
   result.mem_byte_seconds = platform.fleet_mem_byte_seconds() - mem_at_start;
   result.cold_starts = platform.stats().cold_starts;
@@ -79,16 +81,14 @@ int main() {
   exp::TextTable table{{"Policy", "Requests", "Cold starts", "p50", "p95",
                         "p99", "Idle+busy memory (GiB*s)"}};
   for (const PolicyResult& r : results) {
-    std::vector<double> totals;
-    for (const auto& m : r.load.metrics) totals.push_back(m.total.to_millis());
     char mem[32];
     std::snprintf(mem, sizeof mem, "%.1f",
                   r.mem_byte_seconds / (1024.0 * 1024.0 * 1024.0));
-    table.add_row({r.name, std::to_string(r.load.responses_ok),
+    table.add_row({r.name, std::to_string(r.responses_ok),
                    std::to_string(r.cold_starts),
-                   exp::fmt_ms(stats::percentile(totals, 0.50)),
-                   exp::fmt_ms(stats::percentile(totals, 0.95)),
-                   exp::fmt_ms(stats::percentile(totals, 0.99)), mem});
+                   exp::fmt_ms(stats::percentile(r.totals_ms, 0.50)),
+                   exp::fmt_ms(stats::percentile(r.totals_ms, 0.95)),
+                   exp::fmt_ms(stats::percentile(r.totals_ms, 0.99)), mem});
   }
   std::printf("%s\n", table.to_string().c_str());
   std::printf(

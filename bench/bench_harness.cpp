@@ -19,7 +19,6 @@
 
 #include "exp/calibration.hpp"
 #include "exp/parallel_runner.hpp"
-#include "exp/run.hpp"
 #include "exp/scenario.hpp"
 #include "gate.hpp"
 #include "obs/export.hpp"
@@ -177,14 +176,13 @@ int run_trace(const std::string& path, int reps, int threads) {
   cfg.repetitions = reps;
   cfg.seed = 42;
   cfg.threads = threads;
-  exp::ScenarioSpec spec = exp::ScenarioSpec::from(cfg);
-  spec.trace = true;
 
-  const exp::ScenarioRun run = exp::run(spec);
+  obs::TraceReport trace;
+  exp::run_startup_scenario(cfg, &trace);
   std::printf("bench_harness --trace: fig3 NOOP %s, %d reps, %zu spans (load "
               "in about:tracing / Perfetto)\n",
-              exp::technique_name(cfg.technique), reps, run.trace.spans.size());
-  return bench::write_file(path, obs::to_chrome_json(run.trace)) ? 0 : 1;
+              exp::technique_name(cfg.technique), reps, trace.spans.size());
+  return bench::write_file(path, obs::to_chrome_json(trace)) ? 0 : 1;
 }
 
 }  // namespace

@@ -19,7 +19,8 @@ using namespace prebake;
 namespace {
 
 struct RunResult {
-  faas::StreamReplayResult replay;
+  std::uint64_t responses_ok = 0;
+  std::vector<faas::RequestMetrics> served;  // the platform's request log
   std::uint64_t cold_starts = 0;
 };
 
@@ -34,10 +35,9 @@ RunResult run(const std::vector<faas::TraceEvent>& events,
   platform.deploy(exp::markdown_spec(), mode, core::SnapshotPolicy::warmup(1));
 
   faas::VectorTraceSource source{events};
-  faas::StreamReplayOptions options;
-  options.keep_request_metrics = true;
   RunResult out;
-  out.replay = faas::replay_trace_stream(platform, source, options);
+  out.responses_ok = faas::replay_trace_stream(platform, source).responses_ok;
+  out.served = platform.request_log();
   out.cold_starts = platform.stats().cold_starts;
   return out;
 }
@@ -48,9 +48,13 @@ int main(int argc, char** argv) {
   std::printf("== diurnal trace replay: Vanilla vs PB-Warmup ==\n\n");
 
   // 10-minute trace, 2-minute "day": 0.2 Hz troughs, 12 Hz peaks.
-  const auto generated = faas::generate_diurnal_trace(
-      "markdown-render", 0.2, 12.0, sim::Duration::seconds(120),
-      sim::Duration::seconds(600), 777);
+  faas::DiurnalTraceSource diurnal{"markdown-render",
+                                   0.2,
+                                   12.0,
+                                   sim::Duration::seconds(120),
+                                   sim::Duration::seconds(600),
+                                   777};
+  const auto generated = faas::drain(diurnal);
 
   // Persist + re-parse: the CSV file is the exchange format.
   const char* path = argc > 1 ? argv[1] : "diurnal.csv";
@@ -72,11 +76,10 @@ int main(int argc, char** argv) {
 
   auto report = [](const char* label, const RunResult& r) {
     std::vector<double> totals;
-    for (const auto& m : r.replay.metrics) totals.push_back(m.total.to_millis());
+    for (const auto& m : r.served) totals.push_back(m.total.to_millis());
     std::printf("%-12s ok=%llu cold=%llu  p50=%6.2f  p95=%6.2f  p99=%7.2f  "
                 "max=%7.2f ms\n",
-                label,
-                static_cast<unsigned long long>(r.replay.responses_ok),
+                label, static_cast<unsigned long long>(r.responses_ok),
                 static_cast<unsigned long long>(r.cold_starts),
                 stats::percentile(totals, 0.50), stats::percentile(totals, 0.95),
                 stats::percentile(totals, 0.99), stats::max(totals));
@@ -85,9 +88,9 @@ int main(int argc, char** argv) {
   report("prebaked", prebaked);
 
   std::vector<double> v, p;
-  for (const auto& m : vanilla.replay.metrics)
+  for (const auto& m : vanilla.served)
     if (m.cold_start) v.push_back(m.total.to_millis());
-  for (const auto& m : prebaked.replay.metrics)
+  for (const auto& m : prebaked.served)
     if (m.cold_start) p.push_back(m.total.to_millis());
   if (!v.empty() && !p.empty())
     std::printf("\ncold-start latency medians: vanilla %.1f ms vs prebaked "

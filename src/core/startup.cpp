@@ -169,7 +169,7 @@ ReplicaProcess StartupService::start_prebaked(const rt::FunctionSpec& spec,
                                  k.sim().now() - t0 >= policy.deadline;
       if (e.transient() && attempt < max_attempts && !past_deadline) {
         obs::Span backoff = tr.span("retry-backoff", "core");
-        k.sim().advance(policy.retry_backoff * static_cast<double>(attempt));
+        k.sim().advance(kRestoreRetryBackoff * static_cast<double>(attempt));
         continue;
       }
       if (!policy.fallback_to_vanilla) throw;

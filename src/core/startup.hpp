@@ -58,17 +58,19 @@ struct ReplicaProcess {
   criu::RestoreResult restore;
 };
 
+// Sleep between restore tries: this * attempt-number (linear backoff). Also
+// the platform's backoff between destination restores of a migration.
+inline constexpr sim::Duration kRestoreRetryBackoff = sim::Duration::millis(5);
+
 // How hard to fight for a restore before giving up. The defaults reproduce
 // the legacy behavior exactly: one attempt, failure propagates to the
 // caller, nothing extra is charged.
 struct RestorePolicy {
-  // Restore tries against the snapshot. Only transient errors (device
-  // errors, aborted fetches, corrupt read copies) are retried; a truncated
-  // on-disk image or a permission error fails every attempt identically and
-  // short-circuits.
+  // Restore tries against the snapshot, kRestoreRetryBackoff apart. Only
+  // transient errors (device errors, aborted fetches, corrupt read copies)
+  // are retried; a truncated on-disk image or a permission error fails
+  // every attempt identically and short-circuits.
   int max_attempts = 1;
-  // Sleep backoff * attempt-number between tries (linear backoff).
-  sim::Duration retry_backoff = sim::Duration::millis(5);
   // Give up retrying once this much simulated time has elapsed since the
   // start began. Zero = unbounded.
   sim::Duration deadline{};
@@ -79,12 +81,12 @@ struct RestorePolicy {
 
 // Everything a prebaked start can be asked to do, in one struct. `restore`
 // is the single source of truth for the restore-side knobs (fs_prefix,
-// io_contention, in_memory, remote_fetch, the PagingPolicy,
-// registry-fetch retry budget — see criu::RestoreOptions) and is handed to
-// the Restorer as-is, except that the service always forces
-// restore_original_pid=false and runs CRIU with the launcher's capabilities:
-// those belong to the deployment, not the caller. `policy` governs the
-// retry / deadline / Vanilla-fallback behavior around the restore.
+// io_contention, in_memory, remote_fetch, the PagingPolicy — see
+// criu::RestoreOptions) and is handed to the Restorer as-is, except that
+// the service always forces restore_original_pid=false and runs CRIU with
+// the launcher's capabilities: those belong to the deployment, not the
+// caller. `policy` governs the retry / deadline / Vanilla-fallback behavior
+// around the restore.
 //
 // Designated-initializer friendly:
 //   startup.start_prebaked(spec, images,
@@ -128,7 +130,6 @@ class StartupService {
                                 const PrebakedStartOptions& options,
                                 sim::Rng rng);
 
-  os::Pid launcher_pid() const { return launcher_; }
   os::Kernel& kernel() { return *kernel_; }
   const rt::RuntimeCosts& runtime_costs() const { return costs_; }
   funcs::SharedAssets& assets() { return *assets_; }

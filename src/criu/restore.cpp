@@ -13,12 +13,16 @@ namespace prebake::criu {
 
 namespace {
 
+// Registry-fetch retry budget: attempts, and the unit of the linear backoff.
+constexpr int kFetchMaxAttempts = 3;
+constexpr sim::Duration kFetchRetryBackoff = sim::Duration::millis(10);
+
 // Pull one image file from the remote registry. A transfer may disconnect
 // mid-flight (kRegistryDisconnect): the failed attempt still costs a round
 // trip, then the fetcher backs off (linear * jitter) and retries, up to
-// opts.fetch_max_attempts. A stalled registry (kRegistryStall) adds the
-// plan's stall latency to a successful transfer. With no faults injected
-// this reduces to the original single fetch.
+// kFetchMaxAttempts. A stalled registry (kRegistryStall) adds the plan's
+// stall latency to a successful transfer. With no faults injected this
+// reduces to the original single fetch.
 void fetch_from_registry(os::Kernel& k, const std::string& path,
                          std::uint64_t bytes, const RestoreOptions& opts,
                          RestoreResult& result) {
@@ -26,19 +30,18 @@ void fetch_from_registry(os::Kernel& k, const std::string& path,
   obs::Span span = k.trace().span("registry-fetch", "criu.net");
   span.attr("path", path);
   span.attr("bytes", bytes);
-  const int max_attempts = std::max(opts.fetch_max_attempts, 1);
   for (int attempt = 1;; ++attempt) {
     if (inj.enabled() && inj.fires(faults::FaultSite::kRegistryDisconnect)) {
       k.trace().count("criu.fetch_retries");
       k.sim().advance(k.costs().network_rtt);
-      if (attempt >= max_attempts) {
+      if (attempt >= kFetchMaxAttempts) {
         span.attr("attempts", attempt);
         span.attr("error", "disconnect");
         throw RestoreError{RestoreErrorKind::kFetchFailed,
                            "restore: registry fetch failed after " +
                                std::to_string(attempt) + " attempts: " + path};
       }
-      k.sim().advance(opts.fetch_retry_backoff *
+      k.sim().advance(kFetchRetryBackoff *
                       (static_cast<double>(attempt) * (1.0 + inj.jitter())));
       continue;
     }
@@ -1031,7 +1034,6 @@ std::uint64_t LazyPagesServer::page_in(std::uint64_t pages) {
       // The uffd daemon died mid-fault. The supervisor respawns it (once per
       // server in this model) and the faulting thread eats the latency.
       died_ = true;
-      ++deaths_;
       k.sim().advance(k.costs().clone_call + k.costs().exec_base);
     }
     // uffd round trip + reading the page from the (cached) image.

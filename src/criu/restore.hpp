@@ -45,20 +45,17 @@ struct RestoreOptions {
   std::string fs_prefix;
   // The images live on a remote snapshot registry ("checkpoint/restore as
   // a service", Section 7): a node's first read of each file is charged at
-  // network bandwidth, after which it is cached locally.
+  // network bandwidth, after which it is cached locally. A transfer that
+  // disconnects mid-flight is retried up to 3 attempts, sleeping 10 ms *
+  // attempt * (1 + jitter) between tries, then fails with
+  // RestoreError{kFetchFailed}; with no faults injected the fetch succeeds
+  // on the first attempt and the retry path charges nothing.
   bool remote_fetch = false;
   // How the memory replay pages the process in (DESIGN.md §6j): eager
   // (default), lazy (CRIU's userfaultfd post-copy mode — an eager prefix per
   // pagemap run, the rest served on demand by the returned LazyPagesServer),
   // or REAP-style working-set record/prefetch.
   PagingPolicy paging;
-  // Remote-fetch resilience: a registry transfer that disconnects mid-flight
-  // is retried up to this many attempts, sleeping backoff * attempt *
-  // (1 + jitter) between tries, then fails with RestoreError{kFetchFailed}.
-  // With no faults injected the fetch succeeds on the first attempt and
-  // these knobs charge nothing.
-  int fetch_max_attempts = 3;
-  sim::Duration fetch_retry_backoff = sim::Duration::millis(10);
   // Node-local content-addressed page store (DESIGN.md §6f). When set,
   // remote fetches of the page payload negotiate per-page digests and
   // transfer only what the store is missing, and restores materialize (or
@@ -165,8 +162,6 @@ class LazyPagesServer {
 
   std::uint64_t pending_pages() const { return remaining_; }
   bool done() const { return pending_pages() == 0; }
-  // Times the uffd server died and was respawned (at most 1 per server).
-  std::uint32_t deaths() const { return deaths_; }
 
  private:
   os::Kernel* kernel_ = nullptr;
@@ -176,8 +171,7 @@ class LazyPagesServer {
   std::size_t run_ = 0;        // current run index
   std::uint64_t run_off_ = 0;  // pages already served from pending_[run_]
   std::uint64_t remaining_ = 0;
-  bool died_ = false;
-  std::uint32_t deaths_ = 0;
+  bool died_ = false;  // the uffd server died and was respawned (once)
 };
 
 struct RestoreResult {

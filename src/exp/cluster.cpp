@@ -3,13 +3,26 @@
 #include <algorithm>
 
 #include "exp/calibration.hpp"
-#include "exp/run.hpp"
 #include "faas/trace_source.hpp"
 
 namespace prebake::exp {
 
-ClusterScenarioResult detail::run_cluster_impl(
-    const ClusterScenarioConfig& config, obs::TraceReport* trace) {
+namespace {
+constexpr std::uint64_t kNodeMemBytes = 8ull << 30;
+}  // namespace
+
+void detail::finish_window(sim::Simulation& sim, sim::TimePoint end,
+                           sim::Duration settle) {
+  while (sim.now() < end && sim.step()) {
+  }
+  if (settle <= sim::Duration{}) return;
+  const sim::TimePoint until = sim.now() + settle;
+  while (sim.now() < until && sim.step()) {
+  }
+}
+
+ClusterScenarioResult run_cluster_scenario(const ClusterScenarioConfig& config,
+                                           obs::TraceReport* trace) {
   sim::Simulation sim;
   os::Kernel kernel{sim, testbed_costs()};
   obs::Tracer& tr = kernel.trace();
@@ -27,8 +40,6 @@ ClusterScenarioResult detail::run_cluster_impl(
   cfg.node_page_store_bytes = config.node_page_store_bytes;
   cfg.aggregate_request_log = true;
   cfg.restore_max_attempts = config.restore_max_attempts;
-  cfg.restore_retry_backoff = config.restore_retry_backoff;
-  cfg.restore_deadline = config.restore_deadline;
   cfg.quarantine_threshold = config.quarantine_threshold;
   cfg.node_recovery_delay = config.node_recovery_delay;
   faas::Platform platform{kernel, testbed_runtime(), cfg, config.seed};
@@ -36,7 +47,7 @@ ClusterScenarioResult detail::run_cluster_impl(
   for (std::uint32_t i = 0; i < config.nodes; ++i) {
     std::string name = "w";
     name += std::to_string(i + 1);
-    platform.resources().add_node(std::move(name), config.node_mem_bytes,
+    platform.resources().add_node(std::move(name), kNodeMemBytes,
                                   config.cpus_per_node);
   }
 
@@ -131,10 +142,6 @@ ClusterScenarioResult detail::run_cluster_impl(
     trace->finalize();
   }
   return out;
-}
-
-ClusterScenarioResult run_cluster_scenario(const ClusterScenarioConfig& config) {
-  return run(ScenarioSpec::from(config)).cluster;
 }
 
 }  // namespace prebake::exp

@@ -7,9 +7,9 @@
 //
 // With a fault plan the same run is the chaos scenario (DESIGN.md §6d): the
 // plan is injected into the restore pipeline (os/faults.hpp) and the
-// resilience fields turn on the platform's per-start retries, restore
-// deadline, Vanilla fallback, snapshot quarantine + re-bake and node-crash
-// recovery. The question that sweep answers: how much fault pressure can
+// resilience fields turn on the platform's per-start retries with Vanilla
+// fallback, snapshot quarantine + re-bake and node-crash recovery. The
+// question that sweep answers: how much fault pressure can
 // the prebaking path absorb before requests are lost or latency degrades to
 // the Vanilla baseline?
 #pragma once
@@ -20,15 +20,17 @@
 #include <vector>
 
 #include "faas/platform.hpp"
+#include "obs/report.hpp"
 #include "os/faults.hpp"
+#include "sim/simulation.hpp"
 
 namespace prebake::exp {
 
 struct ClusterScenarioConfig {
   std::uint32_t nodes = 4;
-  // Cores per node for the WorkerNode timeline; 0 = uncapped.
+  // Cores per node for the WorkerNode timeline; 0 = uncapped. Each node has
+  // 8 GiB of memory.
   std::uint32_t cpus_per_node = 2;
-  std::uint64_t node_mem_bytes = 8ull << 30;
   faas::PlacementPolicy policy = faas::PlacementPolicy::kWorstFit;
   bool remote_registry = true;
   // COW template restores from each node's page store (DESIGN.md §6f).
@@ -50,10 +52,8 @@ struct ClusterScenarioConfig {
   os::FaultPlan faults;
   // Resilience policy (faas::PlatformConfig's fields). The defaults are the
   // platform's, which leave a plain run untouched: one restore attempt, no
-  // deadline, no quarantine, and a crashed node stays down.
+  // quarantine, and a crashed node stays down.
   int restore_max_attempts = 1;
-  sim::Duration restore_retry_backoff = sim::Duration::millis(5);
-  sim::Duration restore_deadline{};  // zero = unbounded
   std::uint32_t quarantine_threshold = 0;
   sim::Duration node_recovery_delay{};
 };
@@ -70,6 +70,7 @@ struct ClusterNodeReport {
   std::uint64_t store_pages = 0;  // resident records
   std::uint64_t store_evicted_pages = 0;
   std::size_t store_templates = 0;
+  bool operator==(const ClusterNodeReport&) const = default;
 };
 
 struct ClusterScenarioResult {
@@ -111,10 +112,24 @@ struct ClusterScenarioResult {
     std::uint32_t consecutive_failures = 0;
     bool quarantined = false;
     std::uint32_t rebakes = 0;
+    bool operator==(const HealthRow&) const = default;
   };
   std::vector<HealthRow> snapshot_health;
+  bool operator==(const ClusterScenarioResult&) const = default;
 };
 
-ClusterScenarioResult run_cluster_scenario(const ClusterScenarioConfig& config);
+// `trace`: see run_startup_scenario (exp/scenario.hpp).
+ClusterScenarioResult run_cluster_scenario(const ClusterScenarioConfig& config,
+                                           obs::TraceReport* trace = nullptr);
+
+namespace detail {
+// Step an open-loop run on to the end of its arrival window once the replay
+// is done, then `settle` further: a crash among the last requests schedules
+// its node's recovery up to node_recovery_delay past the final response,
+// and end-of-run stats should reflect the healed cluster. The migration
+// runner ends the same way.
+void finish_window(sim::Simulation& sim, sim::TimePoint end,
+                   sim::Duration settle);
+}  // namespace detail
 
 }  // namespace prebake::exp

@@ -3,12 +3,14 @@
 #include <memory>
 
 #include "exp/calibration.hpp"
-#include "exp/run.hpp"
+#include "exp/cluster.hpp"
 #include "faas/trace_source.hpp"
 
 namespace prebake::exp {
 
 namespace {
+
+constexpr std::uint64_t kNodeMemBytes = 8ull << 30;
 
 // Baseline for the migration's break-even claim: deploy the same function
 // on a fresh single-node cluster with the same cost model and measure the
@@ -24,8 +26,7 @@ double cold_restore_baseline_ms(const MigrationScenarioConfig& config,
   cfg.remote_registry = config.remote_registry;
   cfg.page_store = config.page_store;
   faas::Platform platform{kernel, testbed_runtime(), cfg, config.seed};
-  platform.resources().add_node("cold", config.node_mem_bytes,
-                                config.cpus_per_node);
+  platform.resources().add_node("cold", kNodeMemBytes, config.cpus_per_node);
   platform.deploy(spec, faas::StartMode::kPrebaked,
                   core::SnapshotPolicy::warmup(1));
 
@@ -44,7 +45,7 @@ double cold_restore_baseline_ms(const MigrationScenarioConfig& config,
 
 }  // namespace
 
-MigrationScenarioResult detail::run_migration_impl(
+MigrationScenarioResult run_migration_scenario(
     const MigrationScenarioConfig& config, obs::TraceReport* trace) {
   sim::Simulation sim;
   os::Kernel kernel{sim, testbed_costs()};
@@ -65,17 +66,14 @@ MigrationScenarioResult detail::run_migration_impl(
   cfg.max_replicas_per_function = 1;
   cfg.aggregate_request_log = true;
   cfg.restore_max_attempts = config.restore_max_attempts;
-  cfg.restore_retry_backoff = config.restore_retry_backoff;
   cfg.node_recovery_delay = config.node_recovery_delay;
   cfg.migration = config.migration;
-  cfg.evacuation_threshold = config.evacuation_threshold;
-  cfg.evacuation_cooldown = config.evacuation_cooldown;
   faas::Platform platform{kernel, testbed_runtime(), cfg, config.seed};
   platform.resources().set_policy(config.policy);
   for (std::uint32_t i = 0; i < config.nodes; ++i) {
     std::string name = "w";
     name += std::to_string(i + 1);
-    platform.resources().add_node(std::move(name), config.node_mem_bytes,
+    platform.resources().add_node(std::move(name), kNodeMemBytes,
                                   config.cpus_per_node);
   }
 
@@ -108,7 +106,7 @@ MigrationScenarioResult detail::run_migration_impl(
                             *source_node,
                             faas::Platform::DrainMode::kMigrateWarm);
                     } else {
-                      platform.migrate_replica(fn, faas::kNoNode, config.to);
+                      platform.migrate_replica(fn);
                     }
                   });
 
@@ -165,11 +163,6 @@ MigrationScenarioResult detail::run_migration_impl(
     trace->finalize();
   }
   return out;
-}
-
-MigrationScenarioResult run_migration_scenario(
-    const MigrationScenarioConfig& config) {
-  return run(ScenarioSpec::from(config)).migration;
 }
 
 }  // namespace prebake::exp

@@ -15,15 +15,15 @@
 #include <vector>
 
 #include "faas/platform.hpp"
+#include "obs/report.hpp"
 #include "os/faults.hpp"
 
 namespace prebake::exp {
 
 struct MigrationScenarioConfig {
-  // Cluster shape.
+  // Cluster shape; each node has 8 GiB of memory.
   std::uint32_t nodes = 3;
   std::uint32_t cpus_per_node = 2;
-  std::uint64_t node_mem_bytes = 8ull << 30;
   faas::PlacementPolicy policy = faas::PlacementPolicy::kSnapshotLocality;
   // Registry-backed images: the cold re-restore baseline pays the remote
   // fetch, which is exactly the cost a live migration's shipped chain avoids.
@@ -45,23 +45,19 @@ struct MigrationScenarioConfig {
   std::uint64_t seed = 42;
 
   // The move. At `migrate_at`: drain_source ? drain the replica's node with
-  // DrainMode::kMigrateWarm : migrate_replica(fn, kNoNode, to).
+  // DrainMode::kMigrateWarm : migrate_replica(fn) to a node the platform
+  // picks.
   sim::Duration migrate_at = sim::Duration::seconds(30);
   bool drain_source = true;
-  faas::NodeId to = faas::kNoNode;  // explicit destination (kNoNode = pick)
 
-  // Migration policy under test (rounds, convergence threshold, delta).
+  // Migration policy under test (rounds, convergence threshold).
   faas::MigrationConfig migration{};
 
   // Fault plan, armed only after deploy + initial warm placement: the chaos
   // under study targets the migration machinery, not the first restore.
   os::FaultPlan faults;
   int restore_max_attempts = 3;
-  sim::Duration restore_retry_backoff = sim::Duration::millis(5);
   sim::Duration node_recovery_delay = sim::Duration::seconds(30);
-  // Health-EWMA evacuation (0 = off); exercised by the chaos tests.
-  double evacuation_threshold = 0.0;
-  sim::Duration evacuation_cooldown = sim::Duration::seconds(60);
 };
 
 struct MigrationScenarioResult {
@@ -93,9 +89,11 @@ struct MigrationScenarioResult {
 
   std::uint64_t faults_injected = 0;
   std::vector<std::pair<std::string, std::uint64_t>> fired_by_site;
+  bool operator==(const MigrationScenarioResult&) const = default;
 };
 
+// `trace`: see run_startup_scenario (exp/scenario.hpp).
 MigrationScenarioResult run_migration_scenario(
-    const MigrationScenarioConfig& config);
+    const MigrationScenarioConfig& config, obs::TraceReport* trace = nullptr);
 
 }  // namespace prebake::exp

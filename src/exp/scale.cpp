@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "exp/calibration.hpp"
-#include "exp/run.hpp"
 #include "faas/platform.hpp"
 #include "faas/trace_source.hpp"
 #include "os/kernel.hpp"
@@ -41,8 +40,8 @@ rt::FunctionSpec scale_function_spec(std::uint32_t rank,
   return s;
 }
 
-ScaleScenarioResult detail::run_scale_impl(const ScaleScenarioConfig& config,
-                                           obs::TraceReport* trace) {
+ScaleScenarioResult run_scale_scenario(const ScaleScenarioConfig& config,
+                                       obs::TraceReport* trace) {
   if (config.functions == 0)
     throw std::invalid_argument{"run_scale_scenario: need functions >= 1"};
   if (config.requests == 0)
@@ -62,15 +61,15 @@ ScaleScenarioResult detail::run_scale_impl(const ScaleScenarioConfig& config,
                         config.policy == KeepAlivePolicy::kCowClone;
   faas::PlatformConfig cfg;
   cfg.idle_timeout = config.policy == KeepAlivePolicy::kKeepAlive
-                         ? config.keep_alive
-                         : config.reclaim_idle;
+                         ? sim::Duration::seconds(600)
+                         : sim::Duration::seconds(60);
   cfg.page_store = config.policy == KeepAlivePolicy::kCowClone;
   cfg.aggregate_request_log = true;
   faas::Platform platform{kernel, testbed_runtime(), cfg, config.seed};
   for (std::uint32_t i = 0; i < config.nodes; ++i) {
     std::string name = "w";
     name += std::to_string(i + 1);
-    platform.resources().add_node(std::move(name), config.node_mem_bytes,
+    platform.resources().add_node(std::move(name), 64ull << 30,
                                   config.cpus_per_node);
   }
 
@@ -114,7 +113,7 @@ ScaleScenarioResult detail::run_scale_impl(const ScaleScenarioConfig& config,
           : static_cast<double>(out.cold_starts) /
                 static_cast<double>(rep.responses_ok);
 
-  const faas::RequestAggregate& agg = rep.aggregate;
+  const faas::RequestAggregate& agg = platform.request_aggregate();
   out.total_p50_ms = agg.total_ms.percentile(0.50);
   out.total_p99_ms = agg.total_ms.percentile(0.99);
   out.total_p999_ms = agg.total_ms.percentile(0.999);
@@ -147,10 +146,6 @@ ScaleScenarioResult detail::run_scale_impl(const ScaleScenarioConfig& config,
     trace->finalize();
   }
   return out;
-}
-
-ScaleScenarioResult run_scale_scenario(const ScaleScenarioConfig& config) {
-  return run(ScenarioSpec::from(config)).scale;
 }
 
 }  // namespace prebake::exp

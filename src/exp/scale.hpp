@@ -1,8 +1,8 @@
 // Production-scale trace scenario (DESIGN.md §6h): a synthetic fleet of
 // thousands of deployed functions under a streaming Zipf workload, driven
 // through the cluster Platform on one simulation. Sustains 10^6-10^7
-// requests in bounded memory (the replay aggregates; nothing grows with the
-// trace) and parameterizes the keep-alive policy study:
+// requests in bounded memory (the platform aggregates; nothing grows with
+// the trace) and parameterizes the keep-alive policy study:
 //
 //   kPrebaked  — snapshot restore on every cold start, short idle reclaim
 //   kKeepAlive — Vanilla starts, fixed long keep-alive (the 10-minute
@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/report.hpp"
 #include "rt/function_spec.hpp"
 #include "sim/time.hpp"
 
@@ -36,20 +37,18 @@ struct ScaleScenarioConfig {
   double peak_rate_hz = 0.0;
   sim::Duration period = sim::Duration::seconds(3600);
 
+  // Idle replicas are reclaimed after 600 s under kKeepAlive and after 60 s
+  // under every other policy.
   KeepAlivePolicy policy = KeepAlivePolicy::kPrebaked;
-  // Idle timeout under kKeepAlive; every other policy reclaims after
-  // reclaim_idle.
-  sim::Duration keep_alive = sim::Duration::seconds(600);
-  sim::Duration reclaim_idle = sim::Duration::seconds(60);
 
+  // Each node has 64 GiB of memory.
   std::uint32_t nodes = 8;
   std::uint32_t cpus_per_node = 0;  // 0 = uncapped node CPU timelines
-  std::uint64_t node_mem_bytes = 64ull << 30;
 
   std::uint64_t seed = 42;
-  // Accepted for ScenarioSpec symmetry. The scenario is one simulation and
-  // is deterministic at any thread count by construction; sweeps
-  // parallelize across cells, not within one.
+  // Has no effect: the scenario is one simulation, deterministic at any
+  // thread count; sweeps parallelize across cells, not within one. Kept
+  // because perfbench's self-test sets it.
   int threads = 0;
 };
 
@@ -97,6 +96,8 @@ struct ScaleScenarioResult {
 rt::FunctionSpec scale_function_spec(std::uint32_t rank,
                                      const std::string& name_prefix = "fn-");
 
-ScaleScenarioResult run_scale_scenario(const ScaleScenarioConfig& config);
+// `trace`: see run_startup_scenario (exp/scenario.hpp).
+ScaleScenarioResult run_scale_scenario(const ScaleScenarioConfig& config,
+                                       obs::TraceReport* trace = nullptr);
 
 }  // namespace prebake::exp

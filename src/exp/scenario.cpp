@@ -4,7 +4,6 @@
 #include <memory>
 #include <stdexcept>
 
-#include "exp/run.hpp"
 #include "faas/builder.hpp"
 #include "sim/simulation.hpp"
 #include "util/thread_pool.hpp"
@@ -130,8 +129,8 @@ constexpr std::uint32_t kFirstShardTrack = 2;
 
 }  // namespace
 
-ScenarioResult detail::run_startup_impl(const ScenarioConfig& config,
-                                        obs::TraceReport* trace) {
+ScenarioResult run_startup_scenario(const ScenarioConfig& config,
+                                    obs::TraceReport* trace) {
   const rt::RuntimeCosts runtime = config.runtime.value_or(testbed_runtime());
   funcs::SharedAssets& assets = process_assets();
   const obs::SpanId root_id = obs::make_span_id(0, 1);
@@ -247,10 +246,6 @@ ScenarioResult detail::run_startup_impl(const ScenarioConfig& config,
     trace->finalize();
   }
   return result;
-}
-
-ScenarioResult run_startup_scenario(const ScenarioConfig& config) {
-  return run(ScenarioSpec::from(config)).startup;
 }
 
 ScenarioResult run_startup_scenario_reference(const ScenarioConfig& config) {

@@ -16,6 +16,7 @@
 
 #include "core/startup.hpp"
 #include "exp/calibration.hpp"
+#include "obs/report.hpp"
 #include "rt/function_spec.hpp"
 
 namespace prebake::exp {
@@ -57,7 +58,11 @@ struct ScenarioResult {
   double bake_time_ms = 0.0;
 };
 
-ScenarioResult run_startup_scenario(const ScenarioConfig& config);
+// A non-null `trace` captures a deterministic trace of the run (spans plus
+// counters and histograms, finalized) without perturbing the results; see
+// DESIGN.md §6e. The same holds for every runner in exp/.
+ScenarioResult run_startup_scenario(const ScenarioConfig& config,
+                                    obs::TraceReport* trace = nullptr);
 
 // The seed harness's serial runner, kept as the wall-clock baseline for
 // bench_harness and as an independent check of the parallel engine: one

@@ -62,6 +62,7 @@ struct NodeStats {
   std::uint64_t warmth_replicas_destroyed = 0;
   std::uint64_t warmth_replicas_migrated = 0;
   std::uint64_t warmth_template_pages_destroyed = 0;
+  bool operator==(const NodeStats&) const = default;
 };
 
 class WorkerNode {

@@ -62,8 +62,7 @@ Migrator::Shipped Migrator::ship_link(const criu::ImageDir& link,
 
   std::uint64_t payload_bytes = payload_nominal;
   const criu::ImageDir::Decoded& dec = link.decoded();
-  if (dest_store != nullptr && config_.delta_transfer && dec.pages &&
-      dec.pages->page_count() > 0 &&
+  if (dest_store != nullptr && dec.pages && dec.pages->page_count() > 0 &&
       dec.pages->mode() == criu::PayloadMode::kDigest) {
     // Digest handshake mirroring the registry path (criu/restore.cpp):
     // one RTT + the digest list, then only the pages the destination's

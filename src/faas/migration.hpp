@@ -77,13 +77,6 @@ struct MigrationConfig {
   // Converged when a round dumps at most this many pages: the remaining
   // delta is small enough that the final freeze transfer is cheap.
   std::uint64_t convergence_pages = 64;
-  // Negotiate each link's page payload against the destination's
-  // content-addressed store (PR 5's delta transfer) instead of shipping the
-  // full payload.
-  bool delta_transfer = true;
-  // Bounded re-dump attempts when the *final* link ships corrupt (the
-  // pre-copy chain is abandoned and a full dump retried).
-  int max_final_attempts = 3;
 };
 
 class Migrator {

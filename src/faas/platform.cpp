@@ -9,6 +9,18 @@
 
 namespace prebake::faas {
 
+namespace {
+
+// Container/runtime overhead accounted per replica beyond process RSS.
+constexpr std::uint64_t kReplicaMemOverhead = 32ull << 20;
+// Weight of each prebaked start's signal in its node's health EWMA.
+constexpr double kNodeHealthAlpha = 0.2;
+// Re-dump attempts when the final migration link ships corrupt (the
+// pre-copy chain is abandoned and a full dump retried).
+constexpr int kMaxFinalAttempts = 3;
+
+}  // namespace
+
 Platform::Platform(os::Kernel& kernel, rt::RuntimeCosts runtime_costs,
                    PlatformConfig config, std::uint64_t seed)
     : kernel_{&kernel},
@@ -158,7 +170,7 @@ Platform::Replica* Platform::start_replica(const std::string& function,
   // evicted from the store degrades to a Vanilla start, not an outage.
   const core::BakedSnapshot* snap = nullptr;
   const core::BakedSnapshot* base = nullptr;  // layered delta's base layer
-  std::uint64_t est = config_.replica_mem_overhead;
+  std::uint64_t est = kReplicaMemOverhead;
   if (fn.mode == StartMode::kPrebaked) {
     // A quarantined snapshot is off limits: the breaker tripped on repeated
     // restore failures and a re-bake is in flight. Start Vanilla meanwhile.
@@ -265,8 +277,6 @@ Platform::Replica* Platform::start_replica(const std::string& function,
                      : criu::PagingPolicy::ws_recording();
       opts.restore.paging = paging;
       opts.policy.max_attempts = config_.restore_max_attempts;
-      opts.policy.retry_backoff = config_.restore_retry_backoff;
-      opts.policy.deadline = config_.restore_deadline;
       // StartupService handles the fallback so the breakdown records the
       // attempt count and the fallback flag; the catch below stays as the
       // safety net for non-restore failures.
@@ -1202,8 +1212,7 @@ void Platform::do_cutover(Replica& replica) {
   criu::DumpResult final_dump;
   std::uint64_t final_bytes = 0;
   bool have_final = false;
-  for (int attempt = 1; attempt <= migrator_.config().max_final_attempts;
-       ++attempt) {
+  for (int attempt = 1; attempt <= kMaxFinalAttempts; ++attempt) {
     std::vector<const criu::ImageDir*> chain_so_far;
     chain_so_far.reserve(m.chain.size());
     for (const auto& link : m.chain) chain_so_far.push_back(link.get());
@@ -1296,7 +1305,7 @@ void Platform::do_cutover(Replica& replica) {
                       criu::restore_error_name(e.kind()));
         return;
       }
-      kernel_->sim().advance(config_.restore_retry_backoff * attempt);
+      kernel_->sim().advance(core::kRestoreRetryBackoff * attempt);
     }
   }
 
@@ -1444,8 +1453,7 @@ void Platform::drop_standby(MigrationState& m) {
 
 void Platform::note_node_health(NodeId node, double signal) {
   double& h = node_health_[node];
-  h = config_.node_health_alpha * signal +
-      (1.0 - config_.node_health_alpha) * h;
+  h = kNodeHealthAlpha * signal + (1.0 - kNodeHealthAlpha) * h;
   if (config_.evacuation_threshold <= 0.0 || h < config_.evacuation_threshold)
     return;
   if (!resources_.node(node).schedulable()) return;

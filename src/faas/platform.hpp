@@ -66,8 +66,6 @@ struct PlatformConfig {
   // minutes-scale timeouts in public platforms).
   sim::Duration idle_timeout = sim::Duration::seconds(600);
   std::uint32_t max_replicas_per_function = 64;
-  // Container/runtime overhead accounted per replica beyond process RSS.
-  std::uint64_t replica_mem_overhead = 32ull * 1024 * 1024;
   // Run every replica inside a container (Section 2's execution-environment
   // provisioning term); adds the ContainerCosts to each replica start and
   // enforces a cgroup memory limit sized to the placement estimate.
@@ -113,12 +111,9 @@ struct PlatformConfig {
 
   // --- restore resilience (DESIGN.md §6d) ---------------------------------
   // Per-start retry budget against transient restore faults (device errors,
-  // aborted fetches, corrupt read copies). 1 = the legacy single attempt.
+  // aborted fetches, corrupt read copies), with core::kRestoreRetryBackoff
+  // between tries. 1 = the legacy single attempt.
   int restore_max_attempts = 1;
-  sim::Duration restore_retry_backoff = sim::Duration::millis(5);
-  // Per-start restore deadline (retries stop, Vanilla takes over); zero =
-  // unbounded.
-  sim::Duration restore_deadline{};
   // Circuit breaker: quarantine a function's snapshot after this many
   // *consecutive* failed restores (0 = breaker off). While quarantined the
   // function starts Vanilla; a re-bake runs off the request path and lifts
@@ -129,15 +124,14 @@ struct PlatformConfig {
   sim::Duration node_recovery_delay{};
 
   // --- live replica migration (DESIGN.md §6i) ------------------------------
-  // Pre-dump chain shape and delta transfer for warm evacuations.
+  // Pre-dump chain shape for warm evacuations.
   MigrationConfig migration{};
-  // Node-health EWMA: per-node fault-rate signal updated on every prebaked
-  // start (1.0 = the start needed retries or fell back, 0.0 = clean).
-  double node_health_alpha = 0.2;
-  // Proactive evacuation: when a node's health EWMA reaches this level, its
-  // warm replicas are live-migrated off (drain_node kMigrateWarm) before the
-  // next kNodeCrash can destroy them. 0 = off (the default; keeps every
-  // scenario without migration byte-identical).
+  // Proactive evacuation: every prebaked start folds a signal (1.0 = it
+  // needed retries or fell back, 0.0 = clean) into its node's health EWMA
+  // with weight 0.2. When a node's EWMA reaches this level, its warm
+  // replicas are live-migrated off (drain_node kMigrateWarm) before the next
+  // kNodeCrash can destroy them. 0 = off (the default; keeps every scenario
+  // without migration byte-identical).
   double evacuation_threshold = 0.0;
   // An evacuated node rejoins the cluster after this long (and is exempt
   // from re-evacuation for the same window); zero = it stays drained.
@@ -188,6 +182,7 @@ struct PlatformStats {
   std::uint64_t base_template_clones = 0;  // served by cloning a base template
   std::uint64_t base_templates_materialized = 0;  // base freezes paid
   std::uint64_t layered_full_restores = 0;  // no usable template: full chain
+  bool operator==(const PlatformStats&) const = default;
 };
 
 // Circuit-breaker state for one function's snapshot. Failures count
@@ -253,11 +248,6 @@ class Platform {
   // many migrations were started.
   std::uint32_t rebalance();
 
-  // Node-health EWMA (0 = healthy; grows toward 1 with failing starts).
-  double node_health(NodeId node) const {
-    const auto it = node_health_.find(node);
-    return it == node_health_.end() ? 0.0 : it->second;
-  }
   // Node hosting the first (creation-order) replica of `function`, or
   // kNoNode when none exists.
   NodeId find_replica_node(const std::string& function) const;
@@ -287,7 +277,6 @@ class Platform {
                (kernel_->sim().now() - mem_mark_).to_seconds();
   }
   os::Kernel& kernel() { return *kernel_; }
-  core::StartupService& startup() { return startup_; }
   os::ContainerRuntime& containers() { return containers_; }
 
   // Where a snapshot's images live on `node` under remote_registry.

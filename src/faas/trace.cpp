@@ -1,13 +1,9 @@
 #include "faas/trace.hpp"
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
-#include <numbers>
+#include <cstdio>
 #include <sstream>
 #include <stdexcept>
-
-#include "faas/trace_source.hpp"
 
 namespace prebake::faas {
 
@@ -66,40 +62,6 @@ std::string format_trace_csv(std::span<const TraceEvent> events) {
     out << buf << ',' << e.function << '\n';
   }
   return out.str();
-}
-
-std::vector<TraceEvent> generate_poisson_trace(const std::string& function,
-                                               double rate_hz,
-                                               sim::Duration duration,
-                                               std::uint64_t seed) {
-  if (rate_hz <= 0.0)
-    throw std::invalid_argument{"generate_poisson_trace: rate must be > 0 "
-                                "(rate_hz=" + std::to_string(rate_hz) + ")"};
-  // Materializing wrapper over the streaming source; both draw the
-  // identical RNG sequence, so a streamed and a materialized trace from
-  // the same seed are the same trace (pinned by the TraceStream suite).
-  PoissonTraceSource source{function, rate_hz, duration, sim::Rng{seed}};
-  return drain(source);
-}
-
-std::vector<TraceEvent> generate_diurnal_trace(const std::string& function,
-                                               double base_rate_hz,
-                                               double peak_rate_hz,
-                                               sim::Duration period,
-                                               sim::Duration duration,
-                                               std::uint64_t seed) {
-  // A peak below the base flips the thinning acceptance ratio above 1 and
-  // silently distorts the generated rate; report both offending values.
-  if (base_rate_hz < 0.0 || peak_rate_hz < base_rate_hz)
-    throw std::invalid_argument{
-        "generate_diurnal_trace: need 0 <= base_rate_hz <= peak_rate_hz "
-        "(base_rate_hz=" + std::to_string(base_rate_hz) +
-        ", peak_rate_hz=" + std::to_string(peak_rate_hz) + ")"};
-  if (period <= sim::Duration{})
-    throw std::invalid_argument{"generate_diurnal_trace: period must be > 0"};
-  DiurnalTraceSource source{function, base_rate_hz, peak_rate_hz,
-                            period,   duration,     seed};
-  return drain(source);
 }
 
 }  // namespace prebake::faas

@@ -152,8 +152,7 @@ std::optional<TraceEvent> ZipfTraceSource::next() {
   }
 }
 
-StreamReplayResult replay_trace_stream(Platform& platform, TraceSource& source,
-                                       const StreamReplayOptions& options) {
+StreamReplayResult replay_trace_stream(Platform& platform, TraceSource& source) {
   // The tally outlives this call: a request still in flight at the grace
   // horizon may answer later, if the caller keeps stepping.
   struct State {
@@ -164,9 +163,8 @@ StreamReplayResult replay_trace_stream(Platform& platform, TraceSource& source,
   sim::Simulation& sim = platform.kernel().sim();
   const sim::TimePoint start = sim.now();
 
-  const bool keep = options.keep_request_metrics;
-  auto on_response = [state, keep](const funcs::Response& res,
-                                   const RequestMetrics& m) {
+  auto on_response = [state](const funcs::Response& res,
+                             const RequestMetrics& m) {
     ++state->answered;
     StreamReplayResult& r = state->result;
     FunctionAggregate& fa = r.per_function[m.function];
@@ -174,31 +172,18 @@ StreamReplayResult replay_trace_stream(Platform& platform, TraceSource& source,
     if (res.ok()) {
       ++r.responses_ok;
       ++fa.ok;
-      RequestAggregate& agg = r.aggregate;
-      ++agg.count;
-      if (m.retries > 0) {
-        ++agg.retried;
-        agg.total_retries += m.retries;
-      }
       const double total_ms = m.total.to_millis();
-      agg.total_ms.record(total_ms);
-      agg.service_ms.record(m.service.to_millis());
-      agg.queue_wait_ms.record(m.queue_wait.to_millis());
       fa.total_ms_sum += total_ms;
       fa.total_ms_max = std::max(fa.total_ms_max, total_ms);
       fa.queue_wait_ms_sum += m.queue_wait.to_millis();
       if (m.cold_start) {
-        ++agg.cold_starts;
         ++fa.cold_starts;
-        agg.cold_startup_ms.record(m.startup.to_millis());
         fa.cold_startup_ms_sum += m.startup.to_millis();
       }
       if (m.fallback) {
-        ++agg.fallback_serves;
         ++fa.fallback_serves;
         ++r.responses_fallback;
       }
-      if (keep) r.metrics.push_back(m);
     } else {
       ++r.responses_rejected;
       ++fa.rejected;
@@ -236,9 +221,8 @@ StreamReplayResult replay_trace_stream(Platform& platform, TraceSource& source,
   };
   schedule_next();
 
+  constexpr std::uint64_t kSampleEvery = 1024;  // executed events
   std::uint64_t steps = 0;
-  const std::uint64_t mask =
-      options.sample_every == 0 ? 0 : options.sample_every;
   auto sample = [&] {
     StreamReplayResult& r = state->result;
     r.peak_pending_events = std::max(r.peak_pending_events,
@@ -249,9 +233,9 @@ StreamReplayResult replay_trace_stream(Platform& platform, TraceSource& source,
   while (!exhausted || state->answered < state->result.events) {
     if (exhausted && sim.now() >= horizon) break;  // the rest are lost
     if (!sim.step()) break;
-    if (mask != 0 && (++steps % mask) == 0) sample();
+    if (++steps % kSampleEvery == 0) sample();
   }
-  if (mask != 0) sample();
+  sample();
 
   state->result.makespan = sim.now() - start;
   return std::move(state->result);

@@ -6,8 +6,8 @@
 // stays O(active replicas + functions) regardless of trace length — the
 // 10^7-request workloads of the policy study never materialize. Every
 // open-loop workload in the repository (Poisson, diurnal, Zipf fleet, CSV)
-// replays through replay_trace_stream. The generate_*_trace functions drain
-// the matching source, drawing the identical RNG sequence.
+// replays through replay_trace_stream; drain() materializes a source for
+// the CSV writer.
 #pragma once
 
 #include <cstdint>
@@ -149,15 +149,6 @@ class ZipfTraceSource final : public TraceSource {
 // request loss instead of a run that never ends.
 inline constexpr sim::Duration kReplayGrace = sim::Duration::seconds(600);
 
-struct StreamReplayOptions {
-  // Grow the full per-request metrics vector (O(requests) memory). Off by
-  // default: the aggregate + per-function views below are the bounded path.
-  bool keep_request_metrics = false;
-  // Sample engine/platform occupancy every this many executed events for
-  // the peak_* gauges (0 disables sampling).
-  std::uint64_t sample_every = 1024;
-};
-
 struct StreamReplayResult {
   std::uint64_t events = 0;        // arrivals issued to the platform
   std::uint64_t responses_ok = 0;
@@ -168,18 +159,15 @@ struct StreamReplayResult {
   // (failed restore / quarantine). Disjoint axis from rejections.
   std::uint64_t responses_fallback = 0;
   sim::Duration makespan;
-  // Bounded views of the request stream: fixed-size histogram aggregate
-  // plus one small per-function record (O(functions)).
-  RequestAggregate aggregate;
+  // One small record per function (O(functions)). The served requests
+  // themselves are recorded once, by the platform: Platform::request_log(),
+  // or request_aggregate() under PlatformConfig::aggregate_request_log.
   std::map<std::string, FunctionAggregate> per_function;
-  // Engine/platform occupancy peaks sampled during the run — the
-  // memory-bound witnesses (pending events and replicas must track the
-  // active set, not the trace length).
+  // Engine/platform occupancy peaks, sampled every 1,024 executed events
+  // and once at the end — the memory-bound witnesses (pending events and
+  // replicas must track the active set, not the trace length).
   std::size_t peak_pending_events = 0;
   std::size_t peak_replicas = 0;
-  // Served responses, in answer order; populated only when
-  // keep_request_metrics is set.
-  std::vector<RequestMetrics> metrics;
 };
 
 // Drive a trace through the platform: one arrival is scheduled ahead at any
@@ -188,7 +176,6 @@ struct StreamReplayResult {
 // arrival. A function must be deployed by the time its first arrival fires;
 // otherwise std::out_of_range leaves this call from the simulation step
 // that fired the arrival.
-StreamReplayResult replay_trace_stream(Platform& platform, TraceSource& source,
-                                       const StreamReplayOptions& options = {});
+StreamReplayResult replay_trace_stream(Platform& platform, TraceSource& source);
 
 }  // namespace prebake::faas

@@ -136,7 +136,6 @@ class Tracer {
   // Start recording on `track`; top-level spans parent to `root_parent`
   // (an id from another track, e.g. the scenario root) or 0.
   void enable(std::uint32_t track = 0, SpanId root_parent = 0);
-  void disable() { enabled_ = false; }
 
   // Open a span starting now. Inert handle when disabled.
   Span span(std::string_view name, std::string_view category);

@@ -76,7 +76,6 @@ Pid Kernel::clone_process(Pid parent, const CloneOptions& opts) {
   if (opts.new_mnt_ns) child->ns().mnt_ns = static_cast<std::uint64_t>(child_pid);
   if (opts.new_net_ns) child->ns().net_ns = static_cast<std::uint64_t>(child_pid);
   child->set_state(ProcState::kRunning);
-  child->set_start_time(sim_->now());
   procs_[child_pid] = std::move(child);
   return child_pid;
 }
@@ -147,8 +146,6 @@ VmaId Kernel::mmap(Pid pid, std::uint64_t length, Prot prot, VmaKind kind,
   }
   return id;
 }
-
-void Kernel::munmap(Pid pid, VmaId id) { require_mut(pid).mm().unmap(id); }
 
 void Kernel::fault_in(Pid pid, VmaId id, std::uint64_t first_page,
                       std::uint64_t pages, bool write) {

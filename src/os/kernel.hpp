@@ -65,7 +65,6 @@ class Kernel {
 
   sim::Simulation& sim() { return *sim_; }
   const CostModel& costs() const { return costs_; }
-  CostModel& costs_mutable() { return costs_; }
   FileSystem& fs() { return fs_; }
   // The kernel-wide fault injector (disabled and zero-cost by default); the
   // chaos scenarios configure it with a FaultPlan before running traffic.
@@ -100,7 +99,6 @@ class Kernel {
   VmaId mmap(Pid pid, std::uint64_t length, Prot prot, VmaKind kind,
              std::string name, std::shared_ptr<PageSource> source,
              bool populate = false, std::string backing_path = {});
-  void munmap(Pid pid, VmaId id);
   // Touch pages (minor faults charged for newly resident pages).
   void fault_in(Pid pid, VmaId id, std::uint64_t first_page,
                 std::uint64_t pages, bool write = false);

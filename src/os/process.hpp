@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "os/address_space.hpp"
-#include "sim/time.hpp"
 
 namespace prebake::os {
 
@@ -105,9 +104,6 @@ class Process {
   bool parasite_present() const { return parasite_present_; }
   void set_parasite_present(bool v) { parasite_present_ = v; }
 
-  sim::TimePoint start_time() const { return start_time_; }
-  void set_start_time(sim::TimePoint t) { start_time_ = t; }
-
  private:
   Pid pid_;
   Pid ppid_;
@@ -121,7 +117,6 @@ class Process {
   Cap caps_ = Cap::kNone;
   Namespaces ns_{};
   bool parasite_present_ = false;
-  sim::TimePoint start_time_{};
 };
 
 }  // namespace prebake::os

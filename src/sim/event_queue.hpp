@@ -53,10 +53,6 @@ class CalendarQueue {
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
-  // Introspection for tests/benchmarks.
-  std::size_t bucket_count() const { return buckets_.size(); }
-  std::int64_t bucket_width_ns() const { return width_; }
-
  private:
   std::int64_t slot_of(TimePoint at) const {
     return at.nanos_since_origin() / width_;

@@ -234,7 +234,6 @@ TEST_F(ChaosStartup, DeadlineShortCircuitsRetryBudget) {
   core::PrebakedStartOptions opts;
   opts.restore.fs_prefix = snap.fs_prefix;
   opts.policy.max_attempts = 100;
-  opts.policy.retry_backoff = sim::Duration::millis(5);
   opts.policy.deadline = sim::Duration::millis(1);
   opts.policy.fallback_to_vanilla = true;
   core::ReplicaProcess rep =

@@ -35,14 +35,14 @@ TEST(Integration, DayInTheLife) {
 
   // A multi-function trace: two bursts separated by a reclaim-length gap.
   std::vector<faas::TraceEvent> events;
-  auto trace_md = faas::generate_poisson_trace("markdown-render", 4.0,
-                                               sim::Duration::seconds(30), 1);
-  auto trace_noop = faas::generate_poisson_trace("noop", 8.0,
-                                                 sim::Duration::seconds(30), 2);
-  auto trace_rz = faas::generate_poisson_trace("image-resizer", 0.5,
-                                               sim::Duration::seconds(30), 3);
-  for (auto* t : {&trace_md, &trace_noop, &trace_rz})
-    events.insert(events.end(), t->begin(), t->end());
+  faas::PoissonTraceSource trace_md{"markdown-render", 4.0,
+                                    sim::Duration::seconds(30), sim::Rng{1}};
+  faas::PoissonTraceSource trace_noop{"noop", 8.0, sim::Duration::seconds(30),
+                                      sim::Rng{2}};
+  faas::PoissonTraceSource trace_rz{"image-resizer", 0.5,
+                                    sim::Duration::seconds(30), sim::Rng{3}};
+  for (faas::TraceSource* t : {&trace_md, &trace_noop, &trace_rz})
+    for (faas::TraceEvent& e : faas::drain(*t)) events.push_back(std::move(e));
   // Second burst after the idle timeout has drained the pools.
   const std::size_t first_burst = events.size();
   for (std::size_t i = 0; i < first_burst; ++i) {
@@ -54,10 +54,8 @@ TEST(Integration, DayInTheLife) {
                    [](const auto& a, const auto& b) { return a.at < b.at; });
 
   faas::VectorTraceSource source{events};
-  faas::StreamReplayOptions options;
-  options.keep_request_metrics = true;
   const faas::StreamReplayResult result =
-      faas::replay_trace_stream(platform, source, options);
+      faas::replay_trace_stream(platform, source);
 
   // Every request answered successfully.
   EXPECT_EQ(result.responses_ok, events.size());
@@ -88,7 +86,7 @@ TEST(Integration, DayInTheLife) {
   // Latency sanity: prebaked resizer cold starts stayed well under its
   // vanilla start-up (~310 ms + container provisioning).
   std::vector<double> resizer_cold;
-  for (const auto& m : result.metrics)
+  for (const auto& m : platform.request_log())
     if (m.function == "image-resizer" && m.cold_start)
       resizer_cold.push_back(m.startup.to_millis());
   ASSERT_FALSE(resizer_cold.empty());

@@ -13,7 +13,9 @@
 #include <gtest/gtest.h>
 
 #include "exp/calibration.hpp"
-#include "exp/run.hpp"
+#include "exp/cluster.hpp"
+#include "exp/migration.hpp"
+#include "exp/scenario.hpp"
 #include "obs/export.hpp"
 #include "obs/report.hpp"
 #include "obs/tracer.hpp"
@@ -211,22 +213,31 @@ TEST(TraceNull, DisabledPathAllocatesNothing) {
 
 // --- Determinism across thread counts --------------------------------------
 
-exp::ScenarioSpec traced_noop_spec(int reps, int threads) {
+exp::ScenarioConfig noop_config(int reps, int threads) {
   exp::ScenarioConfig cfg;
   cfg.spec = exp::noop_spec();
   cfg.technique = exp::Technique::kPrebakeNoWarmup;
   cfg.repetitions = reps;
   cfg.seed = 42;
   cfg.threads = threads;
-  exp::ScenarioSpec spec = exp::ScenarioSpec::from(cfg);
-  spec.trace = true;
-  return spec;
+  return cfg;
+}
+
+struct TracedStartup {
+  exp::ScenarioResult startup;
+  obs::TraceReport trace;
+};
+
+TracedStartup traced_noop(int reps, int threads) {
+  TracedStartup run;
+  run.startup = exp::run_startup_scenario(noop_config(reps, threads), &run.trace);
+  return run;
 }
 
 TEST(TraceDeterminism, MergedSpanListIdenticalAcrossThreadCounts) {
   // 60 reps = 3 shards: enough for real cross-shard interleaving.
-  const exp::ScenarioRun at1 = exp::run(traced_noop_spec(60, 1));
-  const exp::ScenarioRun at4 = exp::run(traced_noop_spec(60, 4));
+  const TracedStartup at1 = traced_noop(60, 1);
+  const TracedStartup at4 = traced_noop(60, 4);
 
   ASSERT_FALSE(at1.trace.spans.empty());
   EXPECT_TRUE(same_spans(at1.trace.spans, at4.trace.spans));
@@ -236,20 +247,12 @@ TEST(TraceDeterminism, MergedSpanListIdenticalAcrossThreadCounts) {
     EXPECT_EQ(at4.trace.metrics.counter(c.name), c.value) << c.name;
   // And tracing itself never changes the simulated results.
   EXPECT_EQ(at1.startup.startup_ms, at4.startup.startup_ms);
-  const exp::ScenarioConfig untraced = [&] {
-    exp::ScenarioConfig cfg;
-    cfg.spec = exp::noop_spec();
-    cfg.technique = exp::Technique::kPrebakeNoWarmup;
-    cfg.repetitions = 60;
-    cfg.seed = 42;
-    return cfg;
-  }();
-  EXPECT_EQ(exp::run_startup_scenario(untraced).startup_ms,
+  EXPECT_EQ(exp::run_startup_scenario(noop_config(60, 0)).startup_ms,
             at1.startup.startup_ms);
 }
 
 TEST(TraceDeterminism, StartupTraceNestsFourLevelsDeep) {
-  const exp::ScenarioRun run = exp::run(traced_noop_spec(5, 2));
+  const TracedStartup run = traced_noop(5, 2);
   const auto& spans = run.trace.spans;
 
   std::map<obs::SpanId, const obs::SpanRecord*> by_id;
@@ -321,7 +324,7 @@ TEST(TraceExport, ChromeJsonRoundTripsSpanTree) {
 }
 
 TEST(TraceExport, ChromeJsonRoundTripsScenarioTrace) {
-  const exp::ScenarioRun run = exp::run(traced_noop_spec(3, 1));
+  const TracedStartup run = traced_noop(3, 1);
   const obs::TraceReport parsed =
       obs::parse_chrome_json(obs::to_chrome_json(run.trace));
   EXPECT_TRUE(same_spans(run.trace.spans, parsed.spans));
@@ -346,28 +349,36 @@ TEST(TraceExport, ParserRejectsMalformedInput) {
 
 // --- Chaos: quarantine spans vs. the circuit-breaker table ------------------
 
-TEST(TraceChaos, QuarantineSpansMatchSnapshotHealth) {
-  // The chaos run: the cluster scenario with locality placement, the
-  // resilience policy on and a fault plan.
-  exp::ScenarioSpec spec;
-  spec.kind = exp::ScenarioKind::kCluster;
-  spec.trace = true;
-  spec.seed = 42;
-  spec.cluster.policy = faas::PlacementPolicy::kSnapshotLocality;
-  spec.cluster.duration = sim::Duration::seconds(180);
-  spec.cluster.rate_hz = 0.5;
-  spec.cluster.quarantine_threshold = 2;
-  spec.cluster.restore_max_attempts = 2;
-  spec.cluster.node_recovery_delay = sim::Duration::seconds(30);
-  spec.cluster.faults.seed = 42;
-  spec.cluster.faults.image_corruption_rate = 0.8;
+// The chaos run: the cluster scenario with locality placement, the
+// resilience policy on and a fault plan that trips circuit breakers.
+exp::ClusterScenarioConfig chaos_cluster_config() {
+  exp::ClusterScenarioConfig cfg;
+  cfg.seed = 42;
+  cfg.policy = faas::PlacementPolicy::kSnapshotLocality;
+  cfg.duration = sim::Duration::seconds(180);
+  cfg.rate_hz = 0.5;
+  cfg.quarantine_threshold = 2;
+  cfg.restore_max_attempts = 2;
+  cfg.node_recovery_delay = sim::Duration::seconds(30);
+  cfg.faults.seed = 42;
+  cfg.faults.image_corruption_rate = 0.8;
+  return cfg;
+}
 
-  const exp::ScenarioRun run = exp::run(spec);
-  ASSERT_GT(run.cluster.stats.snapshot_quarantines, 0u)
+bool has_span(const obs::TraceReport& trace, const std::string& name) {
+  return std::any_of(trace.spans.begin(), trace.spans.end(),
+                     [&](const obs::SpanRecord& s) { return s.name == name; });
+}
+
+TEST(TraceChaos, QuarantineSpansMatchSnapshotHealth) {
+  obs::TraceReport trace;
+  const exp::ClusterScenarioResult cluster =
+      exp::run_cluster_scenario(chaos_cluster_config(), &trace);
+  ASSERT_GT(cluster.stats.snapshot_quarantines, 0u)
       << "fault plan failed to trip any circuit breaker";
 
   std::map<std::string, std::uint64_t> enters, lifts;
-  for (const obs::SpanRecord& s : run.trace.spans) {
+  for (const obs::SpanRecord& s : trace.spans) {
     if (s.name == "quarantine.enter") ++enters[attr_of(s, "function")];
     if (s.name == "quarantine.lift") ++lifts[attr_of(s, "function")];
   }
@@ -375,14 +386,14 @@ TEST(TraceChaos, QuarantineSpansMatchSnapshotHealth) {
   std::uint64_t total_enters = 0, total_lifts = 0;
   for (const auto& [fn, n] : enters) total_enters += n;
   for (const auto& [fn, n] : lifts) total_lifts += n;
-  EXPECT_EQ(total_enters, run.cluster.stats.snapshot_quarantines);
-  EXPECT_EQ(total_lifts, run.cluster.stats.snapshot_rebakes);
-  EXPECT_EQ(run.trace.metrics.counter("faas.quarantines"), total_enters);
-  EXPECT_EQ(run.trace.metrics.counter("faas.rebakes"), total_lifts);
+  EXPECT_EQ(total_enters, cluster.stats.snapshot_quarantines);
+  EXPECT_EQ(total_lifts, cluster.stats.snapshot_rebakes);
+  EXPECT_EQ(trace.metrics.counter("faas.quarantines"), total_enters);
+  EXPECT_EQ(trace.metrics.counter("faas.rebakes"), total_lifts);
 
   // Per function: every enter is matched by a lift unless the run ended
   // with the snapshot still quarantined.
-  for (const auto& row : run.cluster.snapshot_health) {
+  for (const auto& row : cluster.snapshot_health) {
     const std::uint64_t still = row.quarantined ? 1u : 0u;
     EXPECT_EQ(enters[row.function], lifts[row.function] + still)
         << row.function;
@@ -391,11 +402,40 @@ TEST(TraceChaos, QuarantineSpansMatchSnapshotHealth) {
   // And no quarantine span names a function the health table doesn't know.
   for (const auto& [fn, n] : enters) {
     const bool known =
-        std::any_of(run.cluster.snapshot_health.begin(),
-                    run.cluster.snapshot_health.end(),
+        std::any_of(cluster.snapshot_health.begin(),
+                    cluster.snapshot_health.end(),
                     [&](const auto& row) { return row.function == fn; });
     EXPECT_TRUE(known) << fn;
   }
+}
+
+// --- Every runner: a traced run equals an untraced one -----------------------
+
+TEST(TraceChaos, ClusterTraceCaptureDoesNotPerturbResults) {
+  const exp::ClusterScenarioConfig cfg = chaos_cluster_config();
+  const exp::ClusterScenarioResult bare = exp::run_cluster_scenario(cfg);
+  obs::TraceReport trace;
+  const exp::ClusterScenarioResult traced =
+      exp::run_cluster_scenario(cfg, &trace);
+  EXPECT_TRUE(bare == traced);
+  EXPECT_GT(bare.faults_injected, 0u);
+  EXPECT_FALSE(trace.empty());
+  EXPECT_TRUE(has_span(trace, "quarantine.enter"));
+  EXPECT_TRUE(has_span(trace, "quarantine.lift"));
+}
+
+TEST(TraceMigration, TraceCaptureDoesNotPerturbResults) {
+  exp::MigrationScenarioConfig cfg;
+  cfg.duration = sim::Duration::seconds(30);
+  cfg.migrate_at = sim::Duration::seconds(10);
+  const exp::MigrationScenarioResult bare = exp::run_migration_scenario(cfg);
+  obs::TraceReport trace;
+  const exp::MigrationScenarioResult traced =
+      exp::run_migration_scenario(cfg, &trace);
+  EXPECT_TRUE(bare == traced);
+  EXPECT_GE(bare.stats.migrations_completed, 1u);
+  EXPECT_FALSE(trace.empty());
+  EXPECT_TRUE(has_span(trace, "migration.cutover"));
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "exp/calibration.hpp"
-#include "faas/load_generator.hpp"
 #include "faas/trace_source.hpp"
 
 namespace prebake::faas {
@@ -166,22 +165,6 @@ TEST_F(PlatformTest, MemoryAccountingPerMode) {
   EXPECT_GT(platform_.resources().total_mem_used(), 100ull * 1024 * 1024);
 }
 
-TEST_F(PlatformTest, LoadGeneratorClosedLoop) {
-  platform_.deploy(exp::noop_spec(), StartMode::kVanilla);
-  LoadGenConfig cfg;
-  cfg.function = "noop";
-  cfg.requests = 20;
-  cfg.think_time = sim::Duration::millis(2);
-  const LoadGenResult result = run_load(platform_, cfg);
-  ASSERT_EQ(result.metrics.size(), 20u);
-  ASSERT_EQ(result.responses.size(), 20u);
-  EXPECT_TRUE(result.metrics.front().cold_start);
-  for (std::size_t i = 1; i < result.metrics.size(); ++i)
-    EXPECT_FALSE(result.metrics[i].cold_start);
-  for (const auto& res : result.responses) EXPECT_TRUE(res.ok());
-  EXPECT_GT(result.makespan.to_millis(), 20 * 2.0);
-}
-
 TEST_F(PlatformTest, CorruptSnapshotFallsBackToVanilla) {
   platform_.deploy(exp::noop_spec(), StartMode::kPrebaked,
                    core::SnapshotPolicy::warmup(1));
@@ -241,9 +224,7 @@ TEST_F(PlatformTest, ExcessAboveMinIdleIsStillReclaimed) {
 StreamReplayResult replay_poisson(Platform& platform, double rate_hz,
                                   sim::Duration duration, std::uint64_t seed) {
   PoissonTraceSource arrivals{"noop", rate_hz, duration, sim::Rng{seed}};
-  StreamReplayOptions options;
-  options.keep_request_metrics = true;
-  return replay_trace_stream(platform, arrivals, options);
+  return replay_trace_stream(platform, arrivals);
 }
 
 TEST_F(PlatformTest, OpenLoopDriverDeliversAllArrivals) {
@@ -255,7 +236,7 @@ TEST_F(PlatformTest, OpenLoopDriverDeliversAllArrivals) {
   EXPECT_GT(result.responses_ok, 150u);
   EXPECT_EQ(result.responses_ok, result.events);
   EXPECT_EQ(result.responses_rejected, 0u);
-  EXPECT_EQ(result.metrics.size(), result.responses_ok);
+  EXPECT_EQ(platform_.request_log().size(), result.responses_ok);
   EXPECT_GT(platform_.fleet_mem_byte_seconds(), mem_before);
   EXPECT_GE(result.makespan.to_seconds(), 9.0);
 }

@@ -3,7 +3,6 @@
 // active set, not the trace length), and the policy knobs.
 #include <gtest/gtest.h>
 
-#include "exp/run.hpp"
 #include "exp/scale.hpp"
 
 using namespace prebake;
@@ -56,32 +55,21 @@ TEST(ScaleScenario, DeterministicAcrossRuns) {
 }
 
 TEST(ScaleScenario, ThreadCountDoesNotChangeResults) {
-  // The scenario is one simulation; the spec-level threads knob must be
-  // inert on the numbers (it exists for sweep-level parallelism).
-  exp::ScenarioSpec spec = exp::ScenarioSpec::from(small_config());
-  ASSERT_EQ(spec.kind, exp::ScenarioKind::kScale);
-  spec.threads = 1;
-  const exp::ScaleScenarioResult one = exp::run(spec).scale;
-  spec.threads = 4;
-  const exp::ScaleScenarioResult four = exp::run(spec).scale;
-  EXPECT_TRUE(same_result(one, four));
-}
-
-TEST(ScaleScenario, SpecRoundTripMirrorsSharedKnobs) {
+  // The scenario is one simulation; its threads field must be inert on the
+  // numbers.
   exp::ScaleScenarioConfig cfg = small_config();
-  cfg.seed = 123;
-  cfg.threads = 2;
-  const exp::ScenarioSpec spec = exp::ScenarioSpec::from(cfg);
-  EXPECT_EQ(spec.seed, 123u);
-  EXPECT_EQ(spec.threads, 2);
-  EXPECT_STREQ(exp::scenario_kind_name(spec.kind), "scale");
+  cfg.threads = 1;
+  const exp::ScaleScenarioResult one = exp::run_scale_scenario(cfg);
+  cfg.threads = 4;
+  const exp::ScaleScenarioResult four = exp::run_scale_scenario(cfg);
+  EXPECT_TRUE(same_result(one, four));
 }
 
 TEST(ScaleScenario, MemoryFootprintTracksActiveSetNotTraceLength) {
   // Quadruple the trace; the engine's peak pending events and replica
   // count must stay in the same band — the witnesses that nothing
-  // accumulates per-request. (The replay aggregates: no request log, no
-  // metrics vector, per-function map bounded by the fleet.)
+  // accumulates per-request. (The platform aggregates, so there is no
+  // request log; the replay's per-function map is bounded by the fleet.)
   exp::ScaleScenarioConfig short_cfg = small_config();
   exp::ScaleScenarioConfig long_cfg = small_config();
   long_cfg.requests = 40'000;
@@ -135,10 +123,10 @@ TEST(ScaleScenario, PolicyNames) {
 }
 
 TEST(ScaleScenario, TraceCaptureDoesNotPerturbResults) {
-  exp::ScenarioSpec spec = exp::ScenarioSpec::from(small_config());
-  const exp::ScaleScenarioResult bare = exp::run(spec).scale;
-  spec.trace = true;
-  const exp::ScenarioRun traced = exp::run(spec);
-  EXPECT_TRUE(same_result(bare, traced.scale));
-  EXPECT_FALSE(traced.trace.spans.empty());
+  const exp::ScaleScenarioResult bare = exp::run_scale_scenario(small_config());
+  obs::TraceReport trace;
+  const exp::ScaleScenarioResult traced =
+      exp::run_scale_scenario(small_config(), &trace);
+  EXPECT_TRUE(same_result(bare, traced));
+  EXPECT_FALSE(trace.spans.empty());
 }

@@ -55,8 +55,9 @@ TEST(TraceCsv, FormatParseRoundTrip) {
 }
 
 TEST(TraceGen, PoissonCountNearExpectation) {
-  const auto events =
-      generate_poisson_trace("fn", 50.0, sim::Duration::seconds(20), 7);
+  PoissonTraceSource source{"fn", 50.0, sim::Duration::seconds(20),
+                            sim::Rng{7}};
+  const auto events = drain(source);
   // Expect ~1000 events; 4 sigma ~ 126.
   EXPECT_GT(events.size(), 870u);
   EXPECT_LT(events.size(), 1130u);
@@ -65,23 +66,27 @@ TEST(TraceGen, PoissonCountNearExpectation) {
 }
 
 TEST(TraceGen, PoissonDeterministicPerSeed) {
-  const auto a = generate_poisson_trace("fn", 5, sim::Duration::seconds(10), 3);
-  const auto b = generate_poisson_trace("fn", 5, sim::Duration::seconds(10), 3);
-  EXPECT_EQ(a, b);
+  PoissonTraceSource a{"fn", 5, sim::Duration::seconds(10), sim::Rng{3}};
+  PoissonTraceSource b{"fn", 5, sim::Duration::seconds(10), sim::Rng{3}};
+  EXPECT_EQ(drain(a), drain(b));
 }
 
 TEST(TraceGen, PoissonValidation) {
-  EXPECT_THROW(generate_poisson_trace("fn", 0.0, sim::Duration::seconds(1), 1),
+  EXPECT_THROW((PoissonTraceSource{"fn", 0.0, sim::Duration::seconds(1),
+                                   sim::Rng{1}}),
                std::invalid_argument);
 }
 
 TEST(TraceGen, DiurnalPeaksWherePhaseSaysSo) {
   // Period 100 s, trough at t=0, peak at t=50 s.
-  const auto events = generate_diurnal_trace(
-      "fn", 1.0, 60.0, sim::Duration::seconds(100), sim::Duration::seconds(100),
-      11);
+  DiurnalTraceSource source{"fn",
+                            1.0,
+                            60.0,
+                            sim::Duration::seconds(100),
+                            sim::Duration::seconds(100),
+                            11};
   std::size_t trough = 0, peak = 0;
-  for (const TraceEvent& e : events) {
+  for (const TraceEvent& e : drain(source)) {
     const double s = e.at.to_seconds();
     if (s < 20.0 || s > 80.0) ++trough;
     if (s >= 30.0 && s <= 70.0) ++peak;
@@ -93,16 +98,16 @@ TEST(TraceGen, DiurnalValidation) {
   // A peak below the base must be rejected, and the message must name both
   // offending values — a silent clamp would distort the generated rate.
   try {
-    generate_diurnal_trace("fn", 5.0, 1.0, sim::Duration::seconds(1),
-                           sim::Duration::seconds(1), 1);
+    DiurnalTraceSource bad{"fn", 5.0, 1.0, sim::Duration::seconds(1),
+                           sim::Duration::seconds(1), 1};
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("base_rate_hz=5"), std::string::npos) << msg;
     EXPECT_NE(msg.find("peak_rate_hz=1"), std::string::npos) << msg;
   }
-  EXPECT_THROW(generate_diurnal_trace("fn", 1.0, 2.0, sim::Duration{},
-                                      sim::Duration::seconds(1), 1),
+  EXPECT_THROW((DiurnalTraceSource{"fn", 1.0, 2.0, sim::Duration{},
+                                   sim::Duration::seconds(1), 1}),
                std::invalid_argument);
 }
 
@@ -121,14 +126,11 @@ TEST(TraceReplay, RunsAgainstPlatform) {
     events.push_back({sim::Duration::millis(500 * i),
                       i % 2 == 0 ? "noop" : "markdown-render"});
   VectorTraceSource source{events};
-  StreamReplayOptions options;
-  options.keep_request_metrics = true;
-  const StreamReplayResult result =
-      replay_trace_stream(platform, source, options);
+  const StreamReplayResult result = replay_trace_stream(platform, source);
   EXPECT_EQ(result.events, 10u);
   EXPECT_EQ(result.responses_ok, 10u);
   EXPECT_EQ(result.responses_rejected, 0u);
-  EXPECT_EQ(result.metrics.size(), 10u);
+  EXPECT_EQ(platform.request_log().size(), 10u);
   // Two functions, two cold starts.
   EXPECT_EQ(platform.stats().cold_starts, 2u);
 }

@@ -1,6 +1,6 @@
 // Streaming trace sources and the memory-bounded replay (DESIGN.md §6h):
-// stream/legacy equivalence, Zipf sampler determinism, CSV round-trips, and
-// the aggregate accounting of replay_trace_stream.
+// source validation, Zipf sampler determinism, CSV round-trips, and the
+// accounting of replay_trace_stream.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -32,37 +32,12 @@ rt::FunctionSpec tiny_spec(const std::string& name) {
 
 }  // namespace
 
-TEST(TraceStreamPoisson, MatchesLegacyGeneratorExactly) {
-  faas::PoissonTraceSource source{"fn", 5.0, sim::Duration::seconds(120),
-                                  sim::Rng{7}};
-  const auto streamed = drain(source);
-  const auto legacy =
-      faas::generate_poisson_trace("fn", 5.0, sim::Duration::seconds(120), 7);
-  EXPECT_EQ(streamed, legacy);  // same RNG draws, same events, same order
-  EXPECT_GT(streamed.size(), 400u);
-}
-
 TEST(TraceStreamPoisson, ExhaustedSourceStaysExhausted) {
   faas::PoissonTraceSource source{"fn", 50.0, sim::Duration::seconds(1),
                                   sim::Rng{3}};
   drain(source);
   EXPECT_FALSE(source.next().has_value());
   EXPECT_FALSE(source.next().has_value());
-}
-
-TEST(TraceStreamDiurnal, MatchesLegacyGeneratorExactly) {
-  faas::DiurnalTraceSource source{"fn",
-                                  1.0,
-                                  8.0,
-                                  sim::Duration::seconds(60),
-                                  sim::Duration::seconds(300),
-                                  11};
-  const auto streamed = drain(source);
-  const auto legacy = faas::generate_diurnal_trace(
-      "fn", 1.0, 8.0, sim::Duration::seconds(60), sim::Duration::seconds(300),
-      11);
-  EXPECT_EQ(streamed, legacy);
-  EXPECT_GT(streamed.size(), 100u);
 }
 
 TEST(TraceStreamDiurnal, ValidationNamesBothRates) {
@@ -258,15 +233,20 @@ TEST(TraceStreamReplay, MatchesMaterializedReplay) {
 }
 
 TEST(TraceStreamReplay, BoundedByDefaultOptInPerRequest) {
+  // The replay itself keeps O(functions); the one record of the served
+  // requests is the platform's — bounded under aggregate_request_log, one
+  // entry per served request otherwise.
   const faas::ZipfTraceConfig wl = small_workload();
 
-  ReplayRig a{7};
+  faas::PlatformConfig aggregated;
+  aggregated.aggregate_request_log = true;
+  ReplayRig a{7, aggregated};
   faas::ZipfTraceSource src_a{wl};
   deploy_fleet(a.platform, src_a);
   const faas::StreamReplayResult bounded =
       faas::replay_trace_stream(a.platform, src_a);
-  EXPECT_TRUE(bounded.metrics.empty());  // no O(requests) growth by default
-  EXPECT_EQ(bounded.aggregate.count, bounded.responses_ok);
+  EXPECT_TRUE(a.platform.request_log().empty());  // no O(requests) growth
+  EXPECT_EQ(a.platform.request_aggregate().count, bounded.responses_ok);
   EXPECT_LE(bounded.per_function.size(), 8u);
   EXPECT_GT(bounded.peak_pending_events, 0u);
   EXPECT_GT(bounded.peak_replicas, 0u);
@@ -274,11 +254,9 @@ TEST(TraceStreamReplay, BoundedByDefaultOptInPerRequest) {
   ReplayRig b{7};
   faas::ZipfTraceSource src_b{wl};
   deploy_fleet(b.platform, src_b);
-  faas::StreamReplayOptions opts;
-  opts.keep_request_metrics = true;
   const faas::StreamReplayResult full =
-      faas::replay_trace_stream(b.platform, src_b, opts);
-  EXPECT_EQ(full.metrics.size(), full.responses_ok);
+      faas::replay_trace_stream(b.platform, src_b);
+  EXPECT_EQ(b.platform.request_log().size(), full.responses_ok);
 }
 
 TEST(TraceStreamReplay, PerFunctionAggregatesCoverTheStream) {
@@ -305,7 +283,10 @@ TEST(TraceStreamReplay, PerFunctionAggregatesCoverTheStream) {
   }
   EXPECT_EQ(requests, rep.events);
   EXPECT_EQ(ok, rep.responses_ok);
-  EXPECT_EQ(colds, rep.aggregate.cold_starts);
+  std::uint64_t logged_colds = 0;
+  for (const faas::RequestMetrics& m : rig.platform.request_log())
+    if (m.cold_start) ++logged_colds;
+  EXPECT_EQ(colds, logged_colds);
   // Zipf head dominance: the hottest rank got the most requests.
   ASSERT_TRUE(rep.per_function.contains("fn-0"));
   for (const auto& [name, fa] : rep.per_function)
@@ -318,6 +299,7 @@ TEST(TraceStreamReplay, FallbackServesAreNotRejections) {
   // must land on the fallback axis, with the rejection axis untouched.
   faas::PlatformConfig cfg;
   cfg.restore_max_attempts = 2;
+  cfg.aggregate_request_log = true;
   ReplayRig rig{13, cfg};
   faas::ZipfTraceConfig wl = small_workload();
   wl.duration = sim::Duration::seconds(30);
@@ -334,7 +316,8 @@ TEST(TraceStreamReplay, FallbackServesAreNotRejections) {
   EXPECT_EQ(rep.responses_ok, rep.events);
   EXPECT_EQ(rep.responses_rejected, 0u);
   EXPECT_GT(rep.responses_fallback, 0u);
-  EXPECT_EQ(rep.aggregate.fallback_serves, rep.responses_fallback);
+  EXPECT_EQ(rig.platform.request_aggregate().fallback_serves,
+            rep.responses_fallback);
   EXPECT_GT(rig.platform.stats().restore_fallbacks, 0u);
   std::uint64_t per_fn_fallbacks = 0;
   for (const auto& [name, fa] : rep.per_function)

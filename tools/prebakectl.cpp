@@ -39,7 +39,6 @@
 #include "exp/cli.hpp"
 #include "exp/cluster.hpp"
 #include "exp/report.hpp"
-#include "exp/run.hpp"
 #include "exp/scenario.hpp"
 #include "faas/builder.hpp"
 #include "faas/trace.hpp"
@@ -150,38 +149,38 @@ exp::ClusterScenarioConfig chaos_config(std::uint64_t seed, double rate) {
 // structured tracer on and print the span tree (or export Chrome
 // trace_event JSON for about:tracing / Perfetto with --out).
 int cmd_trace_scenario(const std::string& kind, const exp::CliArgs& args) {
-  exp::ScenarioSpec spec;
-  spec.trace = true;
-  spec.seed = static_cast<std::uint64_t>(args.get_int_or("seed", 42));
+  obs::TraceReport trace;
+  const auto seed = static_cast<std::uint64_t>(args.get_int_or("seed", 42));
   if (kind == "startup") {
-    spec.kind = exp::ScenarioKind::kStartup;
-    spec.startup.spec = resolve_function(args.get_or("function", "noop"));
-    spec.startup.technique =
-        resolve_technique(args.get_or("technique", "pb-nowarmup"));
-    spec.repetitions = static_cast<int>(args.get_int_or("reps", 25));
-    spec.threads = static_cast<int>(args.get_int_or("threads", 0));
-  } else if (kind == "cluster") {
-    spec.kind = exp::ScenarioKind::kCluster;
-    spec.cluster.policy = resolve_policy(args.get_or("policy", "locality"));
-    spec.cluster.rate_hz = args.get_double_or("rate", 0.5);
-    spec.cluster.duration =
-        sim::Duration::seconds_f(args.get_double_or("duration-s", 60.0));
+    exp::ScenarioConfig cfg;
+    cfg.spec = resolve_function(args.get_or("function", "noop"));
+    cfg.technique = resolve_technique(args.get_or("technique", "pb-nowarmup"));
+    cfg.repetitions = static_cast<int>(args.get_int_or("reps", 25));
+    cfg.seed = seed;
+    cfg.threads = static_cast<int>(args.get_int_or("threads", 0));
+    exp::run_startup_scenario(cfg, &trace);
   } else {
-    spec.kind = exp::ScenarioKind::kCluster;
-    spec.cluster = chaos_config(spec.seed, args.get_double_or("rate", 0.05));
-    spec.cluster.duration =
+    exp::ClusterScenarioConfig cfg;
+    if (kind == "cluster") {
+      cfg.policy = resolve_policy(args.get_or("policy", "locality"));
+      cfg.rate_hz = args.get_double_or("rate", 0.5);
+      cfg.seed = seed;
+    } else {
+      cfg = chaos_config(seed, args.get_double_or("rate", 0.05));
+    }
+    cfg.duration =
         sim::Duration::seconds_f(args.get_double_or("duration-s", 60.0));
+    exp::run_cluster_scenario(cfg, &trace);
   }
 
-  const exp::ScenarioRun run = exp::run(spec);
   if (const auto out = args.get("out"); out.has_value() && !out->empty()) {
     std::ofstream file{*out};
     if (!file) throw std::runtime_error{"cannot write " + *out};
-    file << obs::to_chrome_json(run.trace);
+    file << obs::to_chrome_json(trace);
     std::printf("wrote %zu spans to %s (load in about:tracing / Perfetto)\n",
-                run.trace.spans.size(), out->c_str());
+                trace.spans.size(), out->c_str());
   } else {
-    std::printf("%s", obs::to_text_tree(run.trace).c_str());
+    std::printf("%s", obs::to_text_tree(trace).c_str());
   }
   return 0;
 }
@@ -204,12 +203,15 @@ int cmd_trace(const exp::CliArgs& args) {
     const auto seed = static_cast<std::uint64_t>(args.get_int_or("seed", 1));
     std::vector<faas::TraceEvent> events;
     if (args.has("diurnal")) {
-      events = faas::generate_diurnal_trace(
+      faas::DiurnalTraceSource source{
           function, rate, args.get_double_or("peak", rate * 8),
           sim::Duration::seconds_f(args.get_double_or("period-s", 120.0)),
-          duration, seed);
+          duration, seed};
+      events = faas::drain(source);
     } else {
-      events = faas::generate_poisson_trace(function, rate, duration, seed);
+      faas::PoissonTraceSource source{function, rate, duration,
+                                      sim::Rng{seed}};
+      events = faas::drain(source);
     }
     std::ofstream file{out};
     if (!file) throw std::runtime_error{"cannot write " + out};
@@ -245,11 +247,10 @@ int cmd_trace(const exp::CliArgs& args) {
                       core::SnapshotPolicy::warmup(1));
     }
     faas::VectorTraceSource source{events};
-    faas::StreamReplayOptions options;
-    options.keep_request_metrics = true;
-    const auto result = faas::replay_trace_stream(platform, source, options);
+    const auto result = faas::replay_trace_stream(platform, source);
     std::vector<double> totals;
-    for (const auto& m : result.metrics) totals.push_back(m.total.to_millis());
+    for (const auto& m : platform.request_log())
+      totals.push_back(m.total.to_millis());
     std::printf("%s: %llu ok, %llu rejected, %llu cold starts\n",
                 prebaked ? "prebaked" : "vanilla",
                 static_cast<unsigned long long>(result.responses_ok),
