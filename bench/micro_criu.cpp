@@ -90,18 +90,20 @@ void BM_DigestListCached(benchmark::State& state) {
 }
 BENCHMARK(BM_DigestListCached)->Arg(256)->Arg(4096)->Arg(65536);
 
-// A template freeze on a node whose unbounded store already holds
-// `range(0)` records: register one 3,591-digest template (a fleet
-// function's chain) of which 3,392 digests are held already, as the fleet's
-// shared runtime pages are. A resident template pins every held record, so
-// dropping the measured template and applying a budget of exactly those
-// records (untimed) evicts its 199 new pages: every iteration starts from
-// the same store. That reset scans the whole table, so the iteration count
-// is fixed to keep the untimed part short.
+// A template freeze on a node whose store already holds `range(0)` records:
+// register one 3,591-digest template (a fleet function's chain) of which
+// 3,392 digests are held already, as the fleet's shared runtime pages are. A
+// resident template pins every held record, so dropping the measured
+// template and applying a budget of exactly those records (untimed) evicts
+// its 199 new pages: every iteration starts from the same store. With
+// `range(1)` = 1 that budget stays on, so each registration overflows it
+// with pinned pages alone and evicts nothing. The reset scans the whole
+// table, so the iteration count is fixed to keep the untimed part short.
 void BM_PageStoreMaterialize(benchmark::State& state) {
   constexpr std::size_t kDigests = 3591;
   constexpr std::size_t kHeld = 3392;
   const auto records = static_cast<std::size_t>(state.range(0));
+  const bool bounded = state.range(1) != 0;
   const os::PatternSource src{42};
   criu::PageStore::TemplateInfo resident;
   for (std::size_t i = 0; i < records; ++i)
@@ -113,14 +115,17 @@ void BM_PageStoreMaterialize(benchmark::State& state) {
     fn.digests.push_back(src.page_digest(records + i));
   criu::PageStore store;
   store.register_template("resident", std::move(resident));
+  if (bounded) store.set_capacity(records * os::kPageSize);
   criu::PageStore::TemplateInfo info = fn;
   for (auto _ : state) {
     store.register_template("fn", std::move(info));
     benchmark::ClobberMemory();
     state.PauseTiming();
     store.drop_template("fn");
-    store.set_capacity(records * os::kPageSize);
-    store.set_capacity(0);
+    if (!bounded) {
+      store.set_capacity(records * os::kPageSize);
+      store.set_capacity(0);
+    }
     info = fn;
     state.ResumeTiming();
   }
@@ -128,9 +133,8 @@ void BM_PageStoreMaterialize(benchmark::State& state) {
                           static_cast<std::int64_t>(kDigests));
 }
 BENCHMARK(BM_PageStoreMaterialize)
-    ->Arg(4000)
-    ->Arg(50000)
-    ->Arg(400000)
+    ->ArgNames({"records", "bounded"})
+    ->ArgsProduct({{4000, 50000, 400000}, {0, 1}})
     ->Iterations(1000);
 
 void BM_EncodeDecodePagemap(benchmark::State& state) {

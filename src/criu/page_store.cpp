@@ -92,6 +92,7 @@ std::uint64_t PageStore::insert(std::span<const std::uint64_t> digests) {
   const std::uint64_t before = size_;
   for (const std::uint64_t d : digests) stamp(d);
   const std::uint64_t fresh = size_ - before;
+  if (fresh != 0) has_unpinned_ = true;
   evict_to_fit();
   return fresh;
 }
@@ -107,7 +108,7 @@ void PageStore::unpin(std::span<const std::uint64_t> digests) {
     const std::size_t i = find(d);
     if (i == kNone || slots_[i].refcount == 0)
       throw std::logic_error{"PageStore::unpin: refcount underflow"};
-    --slots_[i].refcount;
+    if (--slots_[i].refcount == 0) has_unpinned_ = true;
   }
   evict_to_fit();
 }
@@ -124,7 +125,7 @@ void PageStore::set_capacity(std::uint64_t bytes) {
 
 void PageStore::evict_to_fit() {
   const std::uint64_t budget_pages = capacity_ / os::kPageSize;
-  if (capacity_ == 0 || size_ <= budget_pages) return;
+  if (capacity_ == 0 || size_ <= budget_pages || !has_unpinned_) return;
   // Unpinned pages only, least recently inserted/pinned first. (tick,
   // digest) is a total order, so selecting the k oldest gives the same
   // victims as sorting them all.
@@ -137,6 +138,7 @@ void PageStore::evict_to_fit() {
   for (auto v = victims.begin(); v != victims.begin() + k; ++v)
     erase_slot(find(v->second));
   stats_.evicted_pages += static_cast<std::uint64_t>(k);
+  has_unpinned_ = victims.begin() + k != victims.end();
 }
 
 const PageStore::TemplateInfo* PageStore::find_template(
@@ -195,6 +197,7 @@ void PageStore::clear_pages() {
     throw std::logic_error{"PageStore::clear_pages: templates still registered"};
   std::fill(slots_.begin(), slots_.end(), Slot{});
   size_ = 0;
+  has_unpinned_ = false;
 }
 
 }  // namespace prebake::criu

@@ -162,6 +162,10 @@ class PageStore {
   std::map<std::string, TemplateInfo> templates_;
   std::uint64_t capacity_ = 0;  // bytes; 0 = unbounded
   std::uint64_t tick_ = 0;
+  // False only when every record is pinned, so evict_to_fit skips its
+  // full-table scan: set when insert() creates a record or unpin() drops
+  // one to refcount 0, cleared when a scan evicts every unpinned record.
+  bool has_unpinned_ = false;
   PageStoreStats stats_;
 };
 

@@ -23,8 +23,11 @@ PoissonTraceSource::PoissonTraceSource(std::string function, double rate_hz,
       rate_hz_(rate_hz),
       duration_(duration),
       rng_(rng) {
-  if (rate_hz <= 0.0)
-    throw std::invalid_argument{"PoissonTraceSource: rate must be > 0"};
+  // A NaN or infinite rate draws NaN or zero gaps: the stream never ends.
+  if (!std::isfinite(rate_hz) || rate_hz <= 0.0)
+    throw std::invalid_argument{
+        "PoissonTraceSource: rate must be finite and > 0 (rate_hz=" +
+        std::to_string(rate_hz) + ")"};
 }
 
 std::optional<TraceEvent> PoissonTraceSource::next() {
@@ -50,10 +53,12 @@ DiurnalTraceSource::DiurnalTraceSource(std::string function,
       duration_(duration),
       rng_(seed) {
   // A peak below the base would make the thinning acceptance ratio exceed 1
-  // and silently distort the rate — reject it loudly, with both values.
-  if (base_rate_hz < 0.0 || peak_rate_hz < base_rate_hz)
+  // and silently distort the rate, and a NaN or infinite one never ends the
+  // stream — reject them loudly, with both values.
+  if (!std::isfinite(base_rate_hz) || !std::isfinite(peak_rate_hz) ||
+      base_rate_hz < 0.0 || peak_rate_hz < base_rate_hz)
     throw std::invalid_argument{
-        "DiurnalTraceSource: need 0 <= base_rate_hz <= peak_rate_hz "
+        "DiurnalTraceSource: need finite 0 <= base_rate_hz <= peak_rate_hz "
         "(base_rate_hz=" +
         std::to_string(base_rate_hz) +
         ", peak_rate_hz=" + std::to_string(peak_rate_hz) + ")"};
@@ -83,9 +88,10 @@ std::optional<TraceEvent> DiurnalTraceSource::next() {
 
 ZipfSampler::ZipfSampler(std::uint32_t n, double s) {
   if (n == 0) throw std::invalid_argument{"ZipfSampler: need n >= 1"};
-  if (s < 0.0)
-    throw std::invalid_argument{"ZipfSampler: exponent must be >= 0 (s=" +
-                                std::to_string(s) + ")"};
+  if (!std::isfinite(s) || s < 0.0)
+    throw std::invalid_argument{
+        "ZipfSampler: exponent must be finite and >= 0 (s=" +
+        std::to_string(s) + ")"};
   cdf_.resize(n);
   double sum = 0.0;
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -111,11 +117,15 @@ ZipfTraceSource::ZipfTraceSource(ZipfTraceConfig config)
     : config_(std::move(config)),
       sampler_(config_.functions, config_.zipf_s),
       rng_(config_.seed) {
-  if (config_.rate_hz <= 0.0)
-    throw std::invalid_argument{"ZipfTraceSource: rate must be > 0"};
-  if (config_.peak_rate_hz != 0.0 && config_.peak_rate_hz < config_.rate_hz)
+  if (!std::isfinite(config_.rate_hz) || config_.rate_hz <= 0.0)
     throw std::invalid_argument{
-        "ZipfTraceSource: need rate_hz <= peak_rate_hz (rate_hz=" +
+        "ZipfTraceSource: rate must be finite and > 0 (rate_hz=" +
+        std::to_string(config_.rate_hz) + ")"};
+  if (!std::isfinite(config_.peak_rate_hz) ||
+      (config_.peak_rate_hz != 0.0 && config_.peak_rate_hz < config_.rate_hz))
+    throw std::invalid_argument{
+        "ZipfTraceSource: need finite rate_hz <= peak_rate_hz, or peak 0 "
+        "(rate_hz=" +
         std::to_string(config_.rate_hz) +
         ", peak_rate_hz=" + std::to_string(config_.peak_rate_hz) + ")"};
   if (config_.peak_rate_hz != 0.0 && config_.period <= sim::Duration{})

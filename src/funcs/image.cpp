@@ -59,6 +59,31 @@ Image generate_synthetic_image(std::uint32_t width, std::uint32_t height,
   return img;
 }
 
+namespace {
+
+// Rows of u8 a u16 column sum holds: 257 * 255 = 65535.
+constexpr std::uint32_t kChunkRows = 257;
+// Bytes (16 pixels) whose column sums stay in vector registers while the
+// rows of a chunk stream past.
+constexpr std::size_t kStrip = 64;
+
+// Column sums of W bytes over `rows` rows, `stride` bytes apart from `p`,
+// into col[0, W). W is fixed at compile time so the sums never leave
+// registers between rows.
+template <std::size_t W>
+void sum_columns(const std::uint8_t* p, std::size_t stride, std::uint32_t rows,
+                 std::uint16_t* col) {
+  std::uint16_t acc[W] = {};
+  for (std::size_t j = 0; j < W; ++j) acc[j] = p[j];
+  for (std::uint32_t r = 1; r < rows; ++r) {
+    p += stride;
+    for (std::size_t j = 0; j < W; ++j) acc[j] += p[j];
+  }
+  for (std::size_t j = 0; j < W; ++j) col[j] = acc[j];
+}
+
+}  // namespace
+
 Image resize_box(const Image& src, double scale) {
   if (!src.valid()) throw std::invalid_argument{"resize_box: invalid image"};
   if (scale <= 0.0 || scale > 1.0)
@@ -73,28 +98,55 @@ Image resize_box(const Image& src, double scale) {
   out.height = out_h;
   out.rgba.resize(static_cast<std::size_t>(out_w) * out_h * 4);
 
+  // Output pixel (ox, oy) averages the source pixels of columns
+  // [x_begin, x_end) and rows [y0, y1); windows overlap where a ratio is not
+  // integral. A window is empty only when the source has a zero dimension,
+  // which valid() allows; its pixels are 0.
   const double x_ratio = static_cast<double>(src.width) / out_w;
   const double y_ratio = static_cast<double>(src.height) / out_h;
+  std::vector<std::uint32_t> x_begin(out_w), x_end(out_w);
+  for (std::uint32_t ox = 0; ox < out_w; ++ox) {
+    x_begin[ox] = static_cast<std::uint32_t>(ox * x_ratio);
+    x_end[ox] = std::min<std::uint32_t>(
+        src.width, static_cast<std::uint32_t>(std::ceil((ox + 1) * x_ratio)));
+  }
+
+  // Separable: per output row, sum the rows of its band byte-wise into u16
+  // column sums, kChunkRows rows at a time, then add each window of column
+  // sums into the pixel's u64 sums. Integer sums do not depend on order, so
+  // every byte equals the per-pixel average.
+  const std::size_t row_bytes = static_cast<std::size_t>(src.width) * 4;
+  std::vector<std::uint16_t> columns(row_bytes);
+  std::vector<std::uint64_t> sums(static_cast<std::size_t>(out_w) * 4);
   for (std::uint32_t oy = 0; oy < out_h; ++oy) {
     const auto y0 = static_cast<std::uint32_t>(oy * y_ratio);
     const auto y1 = std::min<std::uint32_t>(
         src.height, static_cast<std::uint32_t>(std::ceil((oy + 1) * y_ratio)));
-    for (std::uint32_t ox = 0; ox < out_w; ++ox) {
-      const auto x0 = static_cast<std::uint32_t>(ox * x_ratio);
-      const auto x1 = std::min<std::uint32_t>(
-          src.width, static_cast<std::uint32_t>(std::ceil((ox + 1) * x_ratio)));
-      std::uint64_t acc[4] = {0, 0, 0, 0};
-      std::uint64_t count = 0;
-      for (std::uint32_t sy = y0; sy < y1; ++sy) {
-        for (std::uint32_t sx = x0; sx < x1; ++sx) {
-          const std::uint8_t* p = src.pixel(sx, sy);
-          for (int c = 0; c < 4; ++c) acc[c] += p[c];
-          ++count;
-        }
+    std::fill(sums.begin(), sums.end(), 0);
+    for (std::uint32_t sy = y0; sy < y1;) {
+      const std::uint32_t rows = std::min(y1 - sy, kChunkRows);
+      const std::uint8_t* chunk = src.pixel(0, sy);
+      std::size_t i = 0;
+      for (; i + kStrip <= row_bytes; i += kStrip)
+        sum_columns<kStrip>(chunk + i, row_bytes, rows, &columns[i]);
+      for (; i < row_bytes; i += 4)
+        sum_columns<4>(chunk + i, row_bytes, rows, &columns[i]);
+      for (std::uint32_t ox = 0; ox < out_w; ++ox) {
+        std::uint64_t* s = &sums[static_cast<std::size_t>(ox) * 4];
+        for (std::uint32_t x = x_begin[ox]; x < x_end[ox]; ++x)
+          for (int c = 0; c < 4; ++c)
+            s[c] += columns[static_cast<std::size_t>(x) * 4 + c];
       }
-      std::uint8_t* q = out.pixel(ox, oy);
+      sy += rows;
+    }
+    const std::uint64_t band = y1 - y0;
+    std::uint8_t* q = out.pixel(0, oy);
+    for (std::uint32_t ox = 0; ox < out_w; ++ox) {
+      const std::uint64_t count = band * (x_end[ox] - x_begin[ox]);
       for (int c = 0; c < 4; ++c)
-        q[c] = count == 0 ? 0 : static_cast<std::uint8_t>(acc[c] / count);
+        *q++ = count == 0 ? 0
+                          : static_cast<std::uint8_t>(
+                                sums[static_cast<std::size_t>(ox) * 4 + c] / count);
     }
   }
   return out;
@@ -144,17 +196,16 @@ std::vector<std::uint8_t> encode_ppm(const Image& img) {
   char header[64];
   const int header_len =
       std::snprintf(header, sizeof header, "P6\n%u %u\n255\n", img.width, img.height);
-  std::vector<std::uint8_t> out;
-  out.reserve(static_cast<std::size_t>(header_len) +
-              static_cast<std::size_t>(img.width) * img.height * 3);
-  out.insert(out.end(), header, header + header_len);
-  for (std::uint32_t y = 0; y < img.height; ++y)
-    for (std::uint32_t x = 0; x < img.width; ++x) {
-      const std::uint8_t* p = img.pixel(x, y);
-      out.push_back(p[0]);
-      out.push_back(p[1]);
-      out.push_back(p[2]);
-    }
+  const std::size_t pixels = static_cast<std::size_t>(img.width) * img.height;
+  std::vector<std::uint8_t> out(static_cast<std::size_t>(header_len) + pixels * 3);
+  std::memcpy(out.data(), header, static_cast<std::size_t>(header_len));
+  const std::uint8_t* p = img.rgba.data();
+  std::uint8_t* q = out.data() + header_len;
+  for (std::size_t i = 0; i < pixels; ++i, p += 4, q += 3) {
+    q[0] = p[0];
+    q[1] = p[1];
+    q[2] = p[2];
+  }
   return out;
 }
 

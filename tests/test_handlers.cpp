@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+
+#include "criu/crc32.hpp"
+
 namespace prebake::funcs {
 namespace {
 
@@ -88,6 +92,31 @@ TEST(SampleRequest, MarkdownCarriesDocument) {
 TEST(SampleRequest, OthersAreEmptyBody) {
   EXPECT_TRUE(sample_request("noop").body.empty());
   EXPECT_TRUE(sample_request("synthetic:374").body.empty());
+}
+
+// Each paper function's response to its sample request, pinned by size and
+// CRC-32: a change to a handler's kernels must keep every response byte.
+TEST(PaperHandlers, ResponsesMatchGoldenBytes) {
+  struct Golden {
+    const char* id;
+    std::size_t size;
+    std::uint32_t crc;
+  };
+  const Golden goldens[] = {
+      {"noop", 2, 0xD736D92D},
+      {"markdown", 33'370, 0x28F815C1},
+      {"image-resizer", 148'623, 0x85B249CC},
+  };
+  SharedAssets assets;
+  for (const Golden& g : goldens) {
+    SCOPED_TRACE(g.id);
+    const Response res =
+        make_handler(g.id, assets)->handle(sample_request(g.id));
+    EXPECT_TRUE(res.ok());
+    EXPECT_EQ(res.body.size(), g.size);
+    const auto* bytes = reinterpret_cast<const std::uint8_t*>(res.body.data());
+    EXPECT_EQ(criu::crc32(std::span{bytes, res.body.size()}), g.crc);
+  }
 }
 
 TEST(MakeHandler, SyntheticRoundTripsThroughRegistry) {

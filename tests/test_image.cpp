@@ -2,8 +2,68 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <string>
+#include <vector>
+
+#include "sim/rng.hpp"
+
 namespace prebake::funcs {
 namespace {
+
+// resize_box by its definition: each output pixel averages every source
+// pixel of its window, one pixel and channel at a time.
+Image reference_resize_box(const Image& src, double scale) {
+  const auto out_w = std::max<std::uint32_t>(
+      1, static_cast<std::uint32_t>(std::lround(src.width * scale)));
+  const auto out_h = std::max<std::uint32_t>(
+      1, static_cast<std::uint32_t>(std::lround(src.height * scale)));
+
+  Image out;
+  out.width = out_w;
+  out.height = out_h;
+  out.rgba.resize(static_cast<std::size_t>(out_w) * out_h * 4);
+
+  const double x_ratio = static_cast<double>(src.width) / out_w;
+  const double y_ratio = static_cast<double>(src.height) / out_h;
+  for (std::uint32_t oy = 0; oy < out_h; ++oy) {
+    const auto y0 = static_cast<std::uint32_t>(oy * y_ratio);
+    const auto y1 = std::min<std::uint32_t>(
+        src.height, static_cast<std::uint32_t>(std::ceil((oy + 1) * y_ratio)));
+    for (std::uint32_t ox = 0; ox < out_w; ++ox) {
+      const auto x0 = static_cast<std::uint32_t>(ox * x_ratio);
+      const auto x1 = std::min<std::uint32_t>(
+          src.width, static_cast<std::uint32_t>(std::ceil((ox + 1) * x_ratio)));
+      std::uint64_t acc[4] = {0, 0, 0, 0};
+      std::uint64_t count = 0;
+      for (std::uint32_t sy = y0; sy < y1; ++sy) {
+        for (std::uint32_t sx = x0; sx < x1; ++sx) {
+          const std::uint8_t* p = src.pixel(sx, sy);
+          for (int c = 0; c < 4; ++c) acc[c] += p[c];
+          ++count;
+        }
+      }
+      std::uint8_t* q = out.pixel(ox, oy);
+      for (int c = 0; c < 4; ++c)
+        q[c] = count == 0 ? 0 : static_cast<std::uint8_t>(acc[c] / count);
+    }
+  }
+  return out;
+}
+
+// Uniformly random bytes, alpha included.
+Image noise_image(std::uint32_t width, std::uint32_t height,
+                  std::uint64_t seed) {
+  Image img;
+  img.width = width;
+  img.height = height;
+  img.rgba.resize(static_cast<std::size_t>(width) * height * 4);
+  std::uint64_t state = seed;
+  for (std::uint8_t& b : img.rgba)
+    b = static_cast<std::uint8_t>(sim::splitmix64(state) >> 56);
+  return img;
+}
 
 TEST(SyntheticImage, DimensionsAndValidity) {
   const Image img = generate_synthetic_image(64, 32, 1);
@@ -91,6 +151,45 @@ TEST(ResizeBox, ReducesHighFrequencyEnergy) {
     for (std::uint32_t x = 0; x < out.width; ++x) {
       EXPECT_NEAR(out.pixel(x, y)[0], 127, 10);
     }
+}
+
+// The separable sums equal the per-pixel definition byte for byte: row
+// widths whose byte count (width * 4) is no multiple of 16 or 32, so the
+// vectorized loops end in a scalar tail; non-integral ratios, whose windows
+// overlap (7 px at 0.5 -> [0,2), [1,4), [3,6), [5,7)); bands taller than the
+// 257 rows a u16 column sum holds, over an all-255 image, the sums' worst
+// case; scale 1; 1x1 images; and sources with a zero dimension, which
+// valid() accepts (decode_ppm yields one from a "0 5" header).
+TEST(ResizeBox, MatchesPerPixelDefinition) {
+  struct Case {
+    std::uint32_t width, height;
+    double scale;
+  };
+  const Case cases[] = {
+      {344, 144, 0.10}, {7, 7, 0.5},    {13, 11, 0.37}, {5, 9, 0.9},
+      {29, 17, 1.0},    {1, 1, 1.0},    {1, 1, 0.5},    {3, 700, 0.001},
+      {9, 1031, 0.004}, {101, 3, 0.33}, {63, 65, 0.13}, {2, 600, 0.01},
+      {1, 257, 0.001},  {4, 514, 0.001}, {0, 0, 0.5},   {0, 5, 0.5},
+      {5, 0, 0.5},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::to_string(c.width) + "x" + std::to_string(c.height) +
+                 " at " + std::to_string(c.scale));
+    Image white;
+    white.width = c.width;
+    white.height = c.height;
+    white.rgba.assign(static_cast<std::size_t>(c.width) * c.height * 4, 255);
+    std::vector<Image> sources = {noise_image(c.width, c.height, 22), white};
+    if (c.width != 0 && c.height != 0)
+      sources.push_back(generate_synthetic_image(c.width, c.height, 21));
+    for (const Image& src : sources) {
+      const Image got = resize_box(src, c.scale);
+      const Image want = reference_resize_box(src, c.scale);
+      EXPECT_EQ(got.width, want.width);
+      EXPECT_EQ(got.height, want.height);
+      EXPECT_EQ(got.rgba, want.rgba);
+    }
+  }
 }
 
 TEST(ResizeBox, BadScaleThrows) {

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "exp/calibration.hpp"
@@ -40,7 +43,67 @@ TEST(TraceStreamPoisson, ExhaustedSourceStaysExhausted) {
   EXPECT_FALSE(source.next().has_value());
 }
 
+// Every rate and exponent a source takes rejects 0 (where 0 is not legal),
+// a negative value, NaN and +inf with std::invalid_argument, and the message
+// names the value. Legal zeros: a diurnal base (and with it a zero peak, an
+// empty stream), a flat Zipf workload's peak, and the uniform exponent.
+TEST(TraceStreamSources, RejectBadRatesNamingTheValue) {
+  const auto window = sim::Duration::seconds(1);
+  struct Site {
+    const char* field;  // the name the message gives the value
+    std::function<void(double)> make;
+    bool zero_legal;
+  };
+  const Site sites[] = {
+      {"rate_hz",
+       [&](double v) { faas::PoissonTraceSource{"fn", v, window, sim::Rng{1}}; },
+       false},
+      {"base_rate_hz",
+       [&](double v) { faas::DiurnalTraceSource{"fn", v, 10.0, window, window, 1}; },
+       true},
+      {"peak_rate_hz",
+       [&](double v) { faas::DiurnalTraceSource{"fn", 0.0, v, window, window, 1}; },
+       true},
+      {"rate_hz",
+       [](double v) {
+         faas::ZipfTraceConfig cfg;
+         cfg.rate_hz = v;
+         faas::ZipfTraceSource{cfg};
+       },
+       false},
+      {"peak_rate_hz",
+       [](double v) {
+         faas::ZipfTraceConfig cfg;
+         cfg.peak_rate_hz = v;
+         faas::ZipfTraceSource{cfg};
+       },
+       true},
+      {"s", [](double v) { faas::ZipfSampler{4, v}; }, true},
+  };
+  const double values[] = {0.0, -1.0, std::nan(""),
+                           std::numeric_limits<double>::infinity()};
+  for (const Site& site : sites) {
+    for (const double v : values) {
+      const std::string named = std::string{site.field} + "=" + std::to_string(v);
+      SCOPED_TRACE(named);
+      if (v == 0.0 && site.zero_legal) {
+        EXPECT_NO_THROW(site.make(v));
+        continue;
+      }
+      try {
+        site.make(v);
+        ADD_FAILURE() << "expected std::invalid_argument";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string{e.what()}.find(named), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+}
+
 TEST(TraceStreamDiurnal, ValidationNamesBothRates) {
+  // A peak below the base must be rejected, and the message must name both
+  // offending values — a silent clamp would distort the generated rate.
   try {
     faas::DiurnalTraceSource bad{"fn", 5.0, 1.0, sim::Duration::seconds(60),
                                  sim::Duration::seconds(60), 1};
