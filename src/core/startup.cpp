@@ -165,9 +165,7 @@ ReplicaProcess StartupService::start_prebaked(const rt::FunctionSpec& spec,
     } catch (const criu::RestoreError& e) {
       attempt_span.attr("error", e.what());
       attempt_span.end();
-      const bool past_deadline = policy.deadline > sim::Duration{} &&
-                                 k.sim().now() - t0 >= policy.deadline;
-      if (e.transient() && attempt < max_attempts && !past_deadline) {
+      if (e.transient() && attempt < max_attempts) {
         obs::Span backoff = tr.span("retry-backoff", "core");
         k.sim().advance(kRestoreRetryBackoff * static_cast<double>(attempt));
         continue;

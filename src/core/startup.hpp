@@ -71,9 +71,6 @@ struct RestorePolicy {
   // are retried; a truncated on-disk image or a permission error fails
   // every attempt identically and short-circuits.
   int max_attempts = 1;
-  // Give up retrying once this much simulated time has elapsed since the
-  // start began. Zero = unbounded.
-  sim::Duration deadline{};
   // When the restore budget is exhausted, complete the start via the
   // Vanilla path instead of throwing (recorded in StartupBreakdown).
   bool fallback_to_vanilla = false;
@@ -85,8 +82,8 @@ struct RestorePolicy {
 // criu::RestoreOptions) and is handed to the Restorer as-is, except that
 // the service always forces restore_original_pid=false and runs CRIU with
 // the launcher's capabilities: those belong to the deployment, not the
-// caller. `policy` governs the retry / deadline / Vanilla-fallback behavior
-// around the restore.
+// caller. `policy` governs the retry / Vanilla-fallback behavior around the
+// restore.
 //
 // Designated-initializer friendly:
 //   startup.start_prebaked(spec, images,
@@ -96,7 +93,7 @@ struct RestorePolicy {
 //                          rng);
 struct PrebakedStartOptions {
   criu::RestoreOptions restore;
-  RestorePolicy policy;  // retry / deadline / fallback behavior
+  RestorePolicy policy;  // retry / fallback behavior
   // Layered base+delta start (DESIGN.md §6k): when set, `images` passed to
   // start_prebaked is the app *delta* and this names the shared base-runtime
   // layer under it. fs_prefix/store_key address the base's own files and

@@ -22,7 +22,6 @@ enum class RestoreErrorKind : std::uint8_t {
   kUnsupported,     // image content the engine cannot rebuild (digest-mode
                     // buffer memory, thread-count mismatch, unknown vma)
   kPermission,      // missing capability (original-pid restore)
-  kDeadline,        // restore attempts exceeded the caller's deadline
   kConfig,          // contradictory RestoreOptions (caller bug, never
                     // retryable): e.g. a non-eager paging mode combined
                     // with a page-store template key
@@ -37,7 +36,6 @@ constexpr const char* restore_error_name(RestoreErrorKind kind) {
     case RestoreErrorKind::kFetchFailed: return "fetch-failed";
     case RestoreErrorKind::kUnsupported: return "unsupported";
     case RestoreErrorKind::kPermission: return "permission";
-    case RestoreErrorKind::kDeadline: return "deadline";
     case RestoreErrorKind::kConfig: return "config";
   }
   return "unknown";

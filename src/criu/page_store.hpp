@@ -39,10 +39,10 @@
 namespace prebake::criu {
 
 struct PageStoreStats {
-  // Delta negotiations: page occurrences already held locally vs pages that
-  // had to cross the wire (unique within each transferred image).
+  // Delta negotiations (criu::negotiate_delta): page occurrences already
+  // held locally, and the payload that had to cross the wire (pages unique
+  // within each transferred image).
   std::uint64_t hit_pages = 0;
-  std::uint64_t miss_pages = 0;
   std::uint64_t delta_bytes = 0;   // page payload actually transferred
   std::uint64_t digest_bytes = 0;  // negotiation overhead (digest lists)
   std::uint64_t evicted_pages = 0;

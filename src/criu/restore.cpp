@@ -11,6 +11,29 @@
 
 namespace prebake::criu {
 
+DeltaNegotiation negotiate_delta(os::Kernel& k, PageStore& store,
+                                 std::span<const std::uint64_t> digests,
+                                 double io_contention) {
+  obs::Span span = k.trace().span("delta-negotiate", "criu.net");
+  DeltaNegotiation out;
+  out.digest_bytes = digests.size() * sizeof(std::uint64_t);
+  k.sim().advance(k.costs().network_rtt);
+  k.sim().advance(k.costs().network_fetch_cost(out.digest_bytes) *
+                  std::max(io_contention, 1.0));
+  const std::uint64_t missing = store.missing_unique_pages(digests);
+  out.hit_pages = digests.size() - missing;
+  out.delta_bytes = missing * os::kPageSize;
+  PageStoreStats& st = store.stats_mut();
+  st.hit_pages += out.hit_pages;
+  st.delta_bytes += out.delta_bytes;
+  st.digest_bytes += out.digest_bytes;
+  k.trace().count("store.hit_pages", out.hit_pages);
+  k.trace().count("store.delta_bytes", out.delta_bytes);
+  span.attr("pages", digests.size());
+  span.attr("missing", missing);
+  return out;
+}
+
 namespace {
 
 // Registry-fetch retry budget: attempts, and the unit of the linear backoff.
@@ -55,42 +78,6 @@ void fetch_from_registry(os::Kernel& k, const std::string& path,
     span.attr("attempts", attempt);
     return;
   }
-}
-
-// Delta-aware payload negotiation (DESIGN.md §6f): instead of shipping the
-// whole page payload, the registry first sends the image's per-page digest
-// list (one extra round trip plus 8 bytes per page) and the node answers
-// with the digests its content-addressed store is missing; only those pages
-// then cross the wire. Duplicate pages within the image transfer once.
-// Returns the payload bytes that still have to be fetched.
-std::uint64_t negotiate_delta(os::Kernel& k,
-                              std::span<const std::uint64_t> digests,
-                              const RestoreOptions& opts,
-                              RestoreResult& result) {
-  PageStore& store = *opts.page_store;
-  obs::Span span = k.trace().span("delta-negotiate", "criu.net");
-  const std::uint64_t total = digests.size();
-  const std::uint64_t digest_bytes = total * sizeof(std::uint64_t);
-  k.sim().advance(k.costs().network_rtt);
-  k.sim().advance(k.costs().network_fetch_cost(digest_bytes) *
-                  std::max(opts.io_contention, 1.0));
-  result.remote_bytes += digest_bytes;
-  k.trace().count("criu.remote_bytes", digest_bytes);
-  const std::uint64_t missing = store.missing_unique_pages(digests);
-  const std::uint64_t hit = total - missing;
-  const std::uint64_t delta = missing * os::kPageSize;
-  result.store_hit_pages += hit;
-  result.store_delta_bytes += delta;
-  PageStoreStats& st = store.stats_mut();
-  st.hit_pages += hit;
-  st.miss_pages += missing;
-  st.delta_bytes += delta;
-  st.digest_bytes += digest_bytes;
-  k.trace().count("store.hit_pages", hit);
-  k.trace().count("store.delta_bytes", delta);
-  span.attr("pages", total);
-  span.attr("missing", missing);
-  return delta;
 }
 
 // How much of one link's page payload the up-front read pass covers, and
@@ -171,9 +158,14 @@ void charge_image_reads(os::Kernel& k, const ImageDir& images,
           const std::span<const std::uint64_t> digests =
               plan.digests.empty() ? images.decoded().pages->digests()
                                    : plan.digests;
-          const std::uint64_t delta = negotiate_delta(k, digests, opts, result);
-          if (delta > 0)
-            fetch_from_registry(k, path, delta, opts, result);
+          const DeltaNegotiation neg = negotiate_delta(
+              k, *opts.page_store, digests, opts.io_contention);
+          result.remote_bytes += neg.digest_bytes;
+          k.trace().count("criu.remote_bytes", neg.digest_bytes);
+          result.store_hit_pages += neg.hit_pages;
+          result.store_delta_bytes += neg.delta_bytes;
+          if (neg.delta_bytes > 0)
+            fetch_from_registry(k, path, neg.delta_bytes, opts, result);
           else
             k.fs().warm(path);  // every page already on the node
           opts.page_store->insert(digests);

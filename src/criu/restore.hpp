@@ -87,6 +87,27 @@ struct RestoreOptions {
   }
 };
 
+// What one delta negotiation found and sent: payload pages the store
+// already held, the payload bytes it still needs, and the digest list that
+// crossed the wire to learn that.
+struct DeltaNegotiation {
+  std::uint64_t hit_pages = 0;
+  std::uint64_t delta_bytes = 0;
+  std::uint64_t digest_bytes = 0;
+};
+
+// The digest handshake of a delta-aware transfer (DESIGN.md §6f): instead of
+// the whole page payload, the sender first ships the per-page digest list
+// (one round trip plus 8 bytes per page at network bandwidth, scaled by
+// `io_contention`, floored at 1) and the store answers with the unique pages
+// it is missing; a page repeated within the transfer counts as a hit after
+// its first occurrence. Books the store's hit, delta and digest counters; the
+// caller fetches the delta and inserts the digests. The registry path of a
+// restore and a live migration's link shipment (faas::Migrator) both run it.
+DeltaNegotiation negotiate_delta(os::Kernel& k, PageStore& store,
+                                 std::span<const std::uint64_t> digests,
+                                 double io_contention);
+
 // One layer of a base+delta restore (DESIGN.md §6k). `images` is required;
 // fs_prefix names where *this layer's* files live in the simulated fs (""
 // = unpersisted, decode only); store_key is the layer's template identity in

@@ -117,7 +117,6 @@ ScaleScenarioResult run_scale_scenario(const ScaleScenarioConfig& config,
   out.total_p50_ms = agg.total_ms.percentile(0.50);
   out.total_p99_ms = agg.total_ms.percentile(0.99);
   out.total_p999_ms = agg.total_ms.percentile(0.999);
-  out.queue_wait_p99_ms = agg.queue_wait_ms.percentile(0.99);
   out.cold_startup_p50_ms = agg.cold_startup_ms.percentile(0.50);
   out.cold_startup_p99_ms = agg.cold_startup_ms.percentile(0.99);
 

@@ -71,7 +71,6 @@ struct ScaleScenarioResult {
   double total_p50_ms = 0.0;
   double total_p99_ms = 0.0;
   double total_p999_ms = 0.0;
-  double queue_wait_p99_ms = 0.0;
   double cold_startup_p50_ms = 0.0;
   double cold_startup_p99_ms = 0.0;
 

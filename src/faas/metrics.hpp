@@ -26,16 +26,12 @@ using LatencyHistogram = obs::LogHistogram;
 struct RequestAggregate {
   std::uint64_t count = 0;
   std::uint64_t cold_starts = 0;
-  std::uint64_t retried = 0;        // requests requeued at least once
-  std::uint64_t total_retries = 0;  // sum of per-request retry counts
   // Cold starts served by the Vanilla fallback path (failed restore or
   // quarantined snapshot) — answered, but without the prebaked latency.
   // Queue rejections are NOT in here; they never reach a replica and are
   // counted by PlatformStats::rejected / StreamReplayResult.
   std::uint64_t fallback_serves = 0;
   LatencyHistogram total_ms;
-  LatencyHistogram service_ms;
-  LatencyHistogram queue_wait_ms;
   LatencyHistogram cold_startup_ms;  // startup of cold-start requests only
 };
 
@@ -51,8 +47,6 @@ struct FunctionAggregate {
   std::uint64_t fallback_serves = 0;
   double total_ms_sum = 0.0;      // over served requests
   double total_ms_max = 0.0;
-  double queue_wait_ms_sum = 0.0;
-  double cold_startup_ms_sum = 0.0;  // over cold starts
 };
 
 }  // namespace prebake::faas

@@ -64,23 +64,14 @@ Migrator::Shipped Migrator::ship_link(const criu::ImageDir& link,
   const criu::ImageDir::Decoded& dec = link.decoded();
   if (dest_store != nullptr && dec.pages && dec.pages->page_count() > 0 &&
       dec.pages->mode() == criu::PayloadMode::kDigest) {
-    // Digest handshake mirroring the registry path (criu/restore.cpp):
-    // one RTT + the digest list, then only the pages the destination's
-    // content-addressed store is missing cross the wire.
+    // The registry path's digest handshake: only the pages the
+    // destination's content-addressed store is missing cross the wire.
     const std::span<const std::uint64_t> digests = dec.pages->digests();
-    const std::uint64_t digest_bytes = digests.size() * sizeof(std::uint64_t);
-    k.sim().advance(costs.network_rtt);
-    k.sim().advance(costs.network_fetch_cost(digest_bytes));
-    const std::uint64_t missing = dest_store->missing_unique_pages(digests);
-    const std::uint64_t hit = digests.size() - missing;
-    payload_bytes = missing * os::kPageSize;
-    criu::PageStoreStats& st = dest_store->stats_mut();
-    st.hit_pages += hit;
-    st.miss_pages += missing;
-    st.delta_bytes += payload_bytes;
-    st.digest_bytes += digest_bytes;
+    const criu::DeltaNegotiation neg =
+        criu::negotiate_delta(k, *dest_store, digests, 1.0);
+    payload_bytes = neg.delta_bytes;
     dest_store->insert(digests);
-    out.bytes += digest_bytes;
+    out.bytes += neg.digest_bytes;
   }
 
   const std::uint64_t wire_bytes = metadata_bytes + payload_bytes;

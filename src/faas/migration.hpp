@@ -36,7 +36,6 @@ enum class MigrationErrorKind : std::uint8_t {
   kSourceLost,        // source node / process died mid-pre-dump
   kDestinationLost,   // destination crashed before the replica resumed
   kCorruptChainLink,  // a shipped link failed its CRC at the destination
-  kNoCapacity,        // no schedulable node can hold the replica
   kAborted,           // superseded (source reclaimed / drained under us)
 };
 
@@ -45,7 +44,6 @@ constexpr const char* migration_error_name(MigrationErrorKind kind) {
     case MigrationErrorKind::kSourceLost: return "source-lost";
     case MigrationErrorKind::kDestinationLost: return "destination-lost";
     case MigrationErrorKind::kCorruptChainLink: return "corrupt-chain-link";
-    case MigrationErrorKind::kNoCapacity: return "no-capacity";
     case MigrationErrorKind::kAborted: return "aborted";
   }
   return "unknown";
@@ -55,18 +53,11 @@ class MigrationError : public std::runtime_error {
  public:
   MigrationError(MigrationErrorKind kind, const std::string& what)
       : std::runtime_error{what}, kind_{kind} {}
-  MigrationError(MigrationErrorKind kind, const std::string& what,
-                 int chain_link)
-      : std::runtime_error{what}, kind_{kind}, chain_link_{chain_link} {}
 
   MigrationErrorKind kind() const { return kind_; }
-  // Chain link the failure is attributable to (0 = newest), -1 otherwise;
-  // mirrors criu::RestoreError::chain_link().
-  int chain_link() const { return chain_link_; }
 
  private:
   MigrationErrorKind kind_;
-  int chain_link_ = -1;
 };
 
 struct MigrationConfig {

@@ -13,8 +13,6 @@ namespace {
 
 // Container/runtime overhead accounted per replica beyond process RSS.
 constexpr std::uint64_t kReplicaMemOverhead = 32ull << 20;
-// Weight of each prebaked start's signal in its node's health EWMA.
-constexpr double kNodeHealthAlpha = 0.2;
 // Re-dump attempts when the final migration link ships corrupt (the
 // pre-copy chain is abandoned and a full dump retried).
 constexpr int kMaxFinalAttempts = 3;
@@ -384,13 +382,6 @@ Platform::Replica* Platform::start_replica(const std::string& function,
       replica->proc = startup_.start_vanilla(fn.spec, rng.child(1));
       replica->proc.breakdown.fell_back_to_vanilla = true;
     }
-    // Fold this start into the node's fault-rate EWMA: a start that needed
-    // retries or fell back is the early smoke of a failing node (the same
-    // one kNodeCrash eventually takes down).
-    note_node_health(*node, (replica->proc.breakdown.restore_attempts > 1 ||
-                             replica->proc.breakdown.fell_back_to_vanilla)
-                                ? 1.0
-                                : 0.0);
   } else if (fn.mode == StartMode::kPrebaked) {
     ++stats_.restore_fallbacks;
     replica->proc = startup_.start_vanilla(fn.spec, rng.child(1));
@@ -458,7 +449,6 @@ void Platform::on_replica_ready(std::uint64_t id) {
     return;
   }
   replica->state = ReplicaState::kIdle;
-  replica->idle_since = kernel_->sim().now();
   arm_idle_timer(*replica);
   dispatch(replica->function);
 }
@@ -655,7 +645,6 @@ void Platform::finish_serve(std::uint64_t id, std::uint64_t serve_epoch,
     // The pre-dump chain converged while this request was in flight: enter
     // the cutover blackout now that the replica is quiescent.
     replica->state = ReplicaState::kIdle;
-    replica->idle_since = kernel_->sim().now();
     do_cutover(*replica);
   } else if (replica->evacuate_on_idle && replica->migration == nullptr) {
     // Marked for warm evacuation (drain kMigrateWarm / migrate_replica while
@@ -665,7 +654,6 @@ void Platform::finish_serve(std::uint64_t id, std::uint64_t serve_epoch,
     const NodeId to = replica->evacuate_to;
     replica->evacuate_to = kNoNode;
     replica->state = ReplicaState::kIdle;
-    replica->idle_since = kernel_->sim().now();
     if (!begin_migration(*replica, to)) {
       if (resources_.node(replica->node).state() == NodeState::kDraining) {
         ++resources_.node_mut(replica->node).stats().warmth_replicas_destroyed;
@@ -683,7 +671,6 @@ void Platform::finish_serve(std::uint64_t id, std::uint64_t serve_epoch,
     reclaim(*replica);
   } else {
     replica->state = ReplicaState::kIdle;
-    replica->idle_since = kernel_->sim().now();
     arm_idle_timer(*replica);
   }
   pending.callback(response, metrics);
@@ -731,13 +718,7 @@ void Platform::record_request(const RequestMetrics& metrics) {
   }
   ++aggregate_.count;
   if (metrics.fallback) ++aggregate_.fallback_serves;
-  if (metrics.retries > 0) {
-    ++aggregate_.retried;
-    aggregate_.total_retries += metrics.retries;
-  }
   aggregate_.total_ms.record(metrics.total.to_millis());
-  aggregate_.service_ms.record(metrics.service.to_millis());
-  aggregate_.queue_wait_ms.record(metrics.queue_wait.to_millis());
   if (metrics.cold_start) {
     ++aggregate_.cold_starts;
     aggregate_.cold_startup_ms.record(metrics.startup.to_millis());
@@ -982,28 +963,6 @@ bool Platform::migrate_replica(const std::string& function, NodeId from,
   return false;
 }
 
-std::uint32_t Platform::rebalance() {
-  std::uint32_t moves = 0;
-  for (WorkerNode& n : resources_.nodes_mut()) {
-    if (!n.schedulable() || n.mem_capacity() == 0) continue;
-    const double util = static_cast<double>(n.mem_used()) /
-                        static_cast<double>(n.mem_capacity());
-    if (util < config_.rebalance_high_watermark) continue;
-    // Shed the oldest idle replica — creation order, like find_idle.
-    for (auto& [id, r] : replicas_) {
-      if (r->node != n.id() || r->state != ReplicaState::kIdle ||
-          r->migration != nullptr)
-        continue;
-      if (begin_migration(*r, kNoNode)) {
-        ++moves;
-        ++stats_.rebalance_moves;
-        break;
-      }
-    }
-  }
-  return moves;
-}
-
 bool Platform::begin_migration(Replica& replica, NodeId to) {
   if (replica.migration != nullptr || replica.state != ReplicaState::kIdle)
     return false;
@@ -1027,7 +986,6 @@ bool Platform::begin_migration(Replica& replica, NodeId to) {
   auto m = std::make_unique<MigrationState>();
   m->id = next_migration_id_++;
   m->dest = dest;
-  m->started = kernel_->sim().now();
   replica.migration = std::move(m);
   ++stats_.migrations_started;
   {
@@ -1066,12 +1024,9 @@ void Platform::migration_round(std::uint64_t replica_id,
   if (r->proc.paging_mode == criu::PagingMode::kWorkingSet &&
       lazy != nullptr && !lazy->done())
     lazy->page_in_all();
-  std::vector<const criu::ImageDir*> chain_so_far;
-  chain_so_far.reserve(m.chain.size());
-  for (const auto& link : m.chain) chain_so_far.push_back(link.get());
   Migrator::PreDump round;
   try {
-    round = migrator_.pre_dump(r->proc.pid, chain_so_far);
+    round = migrator_.pre_dump(r->proc.pid, m.links());
   } catch (const MigrationError& e) {
     round_span.attr("aborted", migration_error_name(e.kind()));
     kernel_->sim().rewind_to(t0);
@@ -1104,7 +1059,6 @@ void Platform::migration_round(std::uint64_t replica_id,
     // the standby, which was built on the now-poisoned base.
     m.chain.clear();
     drop_standby(m);
-    m.full_dump = true;
     ++stats_.migration_full_dumps;
     kernel_->sim().schedule_at(arrive,
                                [this, rid, mid] { request_cutover(rid, mid); });
@@ -1118,12 +1072,9 @@ void Platform::migration_round(std::uint64_t replica_id,
   // overlaps the still-serving source; it is why the blackout later bills
   // only the final delta.
   if (m.staged_pid == os::kNoPid) {
-    std::vector<const criu::ImageDir*> staged_chain;
-    staged_chain.reserve(m.chain.size());
-    for (const auto& link : m.chain) staged_chain.push_back(link.get());
     try {
       const criu::RestoreResult staged = migrator_.restore_at(
-          staged_chain, os::Cap::kSysPtrace | os::Cap::kSysAdmin);
+          m.links(), os::Cap::kSysPtrace | os::Cap::kSysAdmin);
       rt::ManagedRuntime::attach_restored(  // fixup cost; object discarded
           *kernel_, staged.pid, startup_.runtime_costs(),
           registry_.get(r->function).spec,
@@ -1212,12 +1163,11 @@ void Platform::do_cutover(Replica& replica) {
   criu::DumpResult final_dump;
   std::uint64_t final_bytes = 0;
   bool have_final = false;
+  // The pre-copy links; the final dump joins them once it arrived intact.
+  std::vector<const criu::ImageDir*> chain = m.links();
   for (int attempt = 1; attempt <= kMaxFinalAttempts; ++attempt) {
-    std::vector<const criu::ImageDir*> chain_so_far;
-    chain_so_far.reserve(m.chain.size());
-    for (const auto& link : m.chain) chain_so_far.push_back(link.get());
     try {
-      final_dump = migrator_.final_dump(replica.proc.pid, chain_so_far,
+      final_dump = migrator_.final_dump(replica.proc.pid, chain,
                                         warmed ? 1u : 0u);
     } catch (const MigrationError& e) {
       abort_cutover(e.kind(), migration_error_name(e.kind()));
@@ -1243,9 +1193,6 @@ void Platform::do_cutover(Replica& replica) {
   // Restore the chain at the destination. A destination crash mid-restore
   // (kNodeCrash) fails that node for real and retries on a fresh placement;
   // transient restore faults retry in place per the restore policy.
-  std::vector<const criu::ImageDir*> chain;
-  chain.reserve(m.chain.size() + 1);
-  for (const auto& link : m.chain) chain.push_back(link.get());
   chain.push_back(&final_dump.images);
 
   criu::RestoreResult restored;
@@ -1404,7 +1351,6 @@ void Platform::finish_migration(std::uint64_t replica_id,
   }
   r->migration.reset();
   r->state = ReplicaState::kIdle;
-  r->idle_since = kernel_->sim().now();
   arm_idle_timer(*r);
   dispatch(r->function);
 }
@@ -1432,10 +1378,8 @@ void Platform::abort_migration(Replica& replica, MigrationErrorKind kind,
   replica.migration.reset();
   if (!revive) return;
   // The source never stopped being able to serve: return it to the pool.
-  if (replica.state == ReplicaState::kMigrating) {
+  if (replica.state == ReplicaState::kMigrating)
     replica.state = ReplicaState::kIdle;
-    replica.idle_since = kernel_->sim().now();
-  }
   if (replica.state == ReplicaState::kIdle) {
     arm_idle_timer(replica);
     dispatch(replica.function);
@@ -1449,41 +1393,6 @@ void Platform::drop_standby(MigrationState& m) {
     kernel_->reap(m.staged_pid);
   }
   m.staged_pid = os::kNoPid;
-}
-
-void Platform::note_node_health(NodeId node, double signal) {
-  double& h = node_health_[node];
-  h = kNodeHealthAlpha * signal + (1.0 - kNodeHealthAlpha) * h;
-  if (config_.evacuation_threshold <= 0.0 || h < config_.evacuation_threshold)
-    return;
-  if (!resources_.node(node).schedulable()) return;
-  const sim::TimePoint now = kernel_->sim().now();
-  const auto last = last_evacuation_.find(node);
-  if (last != last_evacuation_.end() &&
-      now - last->second < config_.evacuation_cooldown)
-    return;
-  last_evacuation_[node] = now;
-  h = 0.0;
-  ++stats_.evacuations;
-  {
-    obs::Span mark = kernel_->trace().instant("migration.evacuate", "faas");
-    mark.attr("node", resources_.node(node).name());
-  }
-  // Decoupled from the caller's measured start window: the evacuation runs
-  // as its own event. The node drains warm — its replicas live-migrate —
-  // and rejoins after the cooldown, hopefully past its bad patch.
-  kernel_->sim().schedule_at(now, [this, node] {
-    if (resources_.node(node).state() != NodeState::kReady) return;
-    drain_node(node, DrainMode::kMigrateWarm);
-    if (config_.evacuation_cooldown > sim::Duration{}) {
-      kernel_->sim().schedule_in(config_.evacuation_cooldown, [this, node] {
-        if (resources_.node(node).state() != NodeState::kDraining) return;
-        resources_.reactivate(node);
-        for (const auto& [function, count] : min_idle_)
-          scale_up(function, count);
-      });
-    }
-  });
 }
 
 }  // namespace prebake::faas

@@ -126,19 +126,6 @@ struct PlatformConfig {
   // --- live replica migration (DESIGN.md §6i) ------------------------------
   // Pre-dump chain shape for warm evacuations.
   MigrationConfig migration{};
-  // Proactive evacuation: every prebaked start folds a signal (1.0 = it
-  // needed retries or fell back, 0.0 = clean) into its node's health EWMA
-  // with weight 0.2. When a node's EWMA reaches this level, its warm
-  // replicas are live-migrated off (drain_node kMigrateWarm) before the next
-  // kNodeCrash can destroy them. 0 = off (the default; keeps every scenario
-  // without migration byte-identical).
-  double evacuation_threshold = 0.0;
-  // An evacuated node rejoins the cluster after this long (and is exempt
-  // from re-evacuation for the same window); zero = it stays drained.
-  sim::Duration evacuation_cooldown = sim::Duration::seconds(60);
-  // rebalance(): a schedulable node at or above this memory utilization
-  // sheds one idle replica per call via live migration.
-  double rebalance_high_watermark = 0.9;
 };
 
 struct PlatformStats {
@@ -170,8 +157,6 @@ struct PlatformStats {
   std::uint64_t migration_precopy_bytes = 0;  // shipped while still serving
   std::uint64_t migration_final_bytes = 0;    // shipped inside the blackout
   sim::Duration migration_downtime;  // summed cutover blackout windows
-  std::uint64_t evacuations = 0;       // health-triggered warm drains
-  std::uint64_t rebalance_moves = 0;   // migrations started by rebalance()
   // --- working-set restore (DESIGN.md §6j) --------------------------------
   std::uint64_t ws_recordings = 0;       // first-invocation captures closed
   std::uint64_t ws_prefetch_starts = 0;  // restores that bulk-mapped a WS
@@ -243,11 +228,6 @@ class Platform {
   bool migrate_replica(const std::string& function, NodeId from = kNoNode,
                        NodeId to = kNoNode);
 
-  // Rebalancing action: every schedulable node at or above the configured
-  // high watermark sheds one idle replica via live migration. Returns how
-  // many migrations were started.
-  std::uint32_t rebalance();
-
   // Node hosting the first (creation-order) replica of `function`, or
   // kNoNode when none exists.
   NodeId find_replica_node(const std::string& function) const;
@@ -317,7 +297,6 @@ class Platform {
     std::uint64_t mem_bytes = 0;
     core::ReplicaProcess proc;
     ReplicaState state = ReplicaState::kStarting;
-    sim::TimePoint idle_since;
     std::uint64_t idle_epoch = 0;   // invalidates stale idle-timeout events
     std::uint64_t serve_epoch = 0;  // invalidates stale completion events
     bool served_any = false;
@@ -346,9 +325,7 @@ class Platform {
     NodeId dest = kNoNode;
     std::vector<std::unique_ptr<criu::ImageDir>> chain;
     int rounds = 0;
-    bool full_dump = false;       // pre-copy abandoned (corrupt link)
     bool cutover_pending = false;  // converged while the replica was busy
-    sim::TimePoint started;
     sim::TimePoint cutover_started;
     core::ReplicaProcess new_proc;  // staged destination-side process
     // Warm standby pre-restored at the destination from the shipped chain
@@ -357,6 +334,14 @@ class Platform {
     // one (stop-and-copy, corrupt chain, destination crash) it pays the
     // full restore.
     os::Pid staged_pid = os::kNoPid;
+
+    // The chain as the criu calls take it: borrowed links, oldest first.
+    std::vector<const criu::ImageDir*> links() const {
+      std::vector<const criu::ImageDir*> out;
+      out.reserve(chain.size());
+      for (const auto& link : chain) out.push_back(link.get());
+      return out;
+    }
   };
 
   Replica* find_idle(const std::string& function);
@@ -412,9 +397,6 @@ class Platform {
   // replica to local service; revive=false when the replica itself is dying.
   void abort_migration(Replica& replica, MigrationErrorKind kind, bool revive);
   void drop_standby(MigrationState& m);
-  // Fold one start outcome into the node's health EWMA; may trigger a
-  // proactive warm evacuation when the threshold is configured.
-  void note_node_health(NodeId node, double signal);
 
   os::Kernel* kernel_;
   funcs::SharedAssets assets_;
@@ -446,8 +428,6 @@ class Platform {
   std::uint64_t next_replica_id_ = 1;
   std::uint64_t next_rebake_ = 1;  // rng stream ids for re-bakes
   Migrator migrator_;
-  std::map<NodeId, double> node_health_;  // fault-rate EWMA per node
-  std::map<NodeId, sim::TimePoint> last_evacuation_;
   std::uint64_t next_migration_id_ = 1;
 
   // Fleet-memory integral (see fleet_mem_byte_seconds()).

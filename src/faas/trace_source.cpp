@@ -185,11 +185,7 @@ StreamReplayResult replay_trace_stream(Platform& platform, TraceSource& source) 
       const double total_ms = m.total.to_millis();
       fa.total_ms_sum += total_ms;
       fa.total_ms_max = std::max(fa.total_ms_max, total_ms);
-      fa.queue_wait_ms_sum += m.queue_wait.to_millis();
-      if (m.cold_start) {
-        ++fa.cold_starts;
-        fa.cold_startup_ms_sum += m.startup.to_millis();
-      }
+      if (m.cold_start) ++fa.cold_starts;
       if (m.fallback) {
         ++fa.fallback_serves;
         ++r.responses_fallback;

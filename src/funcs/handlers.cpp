@@ -45,8 +45,7 @@ Response ImageResizerHandler::handle(const Request&) {
       std::to_string(src.width) + "x" + std::to_string(src.height);
   res.headers["X-Scaled-Size"] =
       std::to_string(scaled.width) + "x" + std::to_string(scaled.height);
-  const std::vector<std::uint8_t> ppm = encode_ppm(scaled);
-  res.body.assign(ppm.begin(), ppm.end());
+  res.body = encode_ppm(scaled);
   return res;
 }
 

@@ -152,55 +152,16 @@ Image resize_box(const Image& src, double scale) {
   return out;
 }
 
-Image resize_bilinear(const Image& src, std::uint32_t width,
-                      std::uint32_t height) {
-  if (!src.valid()) throw std::invalid_argument{"resize_bilinear: invalid image"};
-  if (width == 0 || height == 0)
-    throw std::invalid_argument{"resize_bilinear: zero target dimension"};
-  Image out;
-  out.width = width;
-  out.height = height;
-  out.rgba.resize(static_cast<std::size_t>(width) * height * 4);
-
-  const double x_ratio =
-      width > 1 ? static_cast<double>(src.width - 1) / (width - 1) : 0.0;
-  const double y_ratio =
-      height > 1 ? static_cast<double>(src.height - 1) / (height - 1) : 0.0;
-  for (std::uint32_t oy = 0; oy < height; ++oy) {
-    const double fy = oy * y_ratio;
-    const auto y0 = static_cast<std::uint32_t>(fy);
-    const std::uint32_t y1 = std::min(y0 + 1, src.height - 1);
-    const double wy = fy - y0;
-    for (std::uint32_t ox = 0; ox < width; ++ox) {
-      const double fx = ox * x_ratio;
-      const auto x0 = static_cast<std::uint32_t>(fx);
-      const std::uint32_t x1 = std::min(x0 + 1, src.width - 1);
-      const double wx = fx - x0;
-      const std::uint8_t* p00 = src.pixel(x0, y0);
-      const std::uint8_t* p10 = src.pixel(x1, y0);
-      const std::uint8_t* p01 = src.pixel(x0, y1);
-      const std::uint8_t* p11 = src.pixel(x1, y1);
-      std::uint8_t* q = out.pixel(ox, oy);
-      for (int c = 0; c < 4; ++c) {
-        const double top = p00[c] * (1 - wx) + p10[c] * wx;
-        const double bot = p01[c] * (1 - wx) + p11[c] * wx;
-        q[c] = static_cast<std::uint8_t>(std::lround(top * (1 - wy) + bot * wy));
-      }
-    }
-  }
-  return out;
-}
-
-std::vector<std::uint8_t> encode_ppm(const Image& img) {
+std::string encode_ppm(const Image& img) {
   if (!img.valid()) throw std::invalid_argument{"encode_ppm: invalid image"};
   char header[64];
   const int header_len =
       std::snprintf(header, sizeof header, "P6\n%u %u\n255\n", img.width, img.height);
   const std::size_t pixels = static_cast<std::size_t>(img.width) * img.height;
-  std::vector<std::uint8_t> out(static_cast<std::size_t>(header_len) + pixels * 3);
+  std::string out(static_cast<std::size_t>(header_len) + pixels * 3, '\0');
   std::memcpy(out.data(), header, static_cast<std::size_t>(header_len));
   const std::uint8_t* p = img.rgba.data();
-  std::uint8_t* q = out.data() + header_len;
+  auto* q = reinterpret_cast<std::uint8_t*>(out.data() + header_len);
   for (std::size_t i = 0; i < pixels; ++i, p += 4, q += 3) {
     q[0] = p[0];
     q[1] = p[1];
@@ -209,13 +170,12 @@ std::vector<std::uint8_t> encode_ppm(const Image& img) {
   return out;
 }
 
-Image decode_ppm(const std::vector<std::uint8_t>& bytes) {
+Image decode_ppm(std::string_view bytes) {
   unsigned width = 0, height = 0, maxval = 0;
   int consumed = 0;
-  const auto* text = reinterpret_cast<const char*>(bytes.data());
   // Bound the header scan; encode_ppm writes a short header.
   char head[64] = {};
-  std::memcpy(head, text, std::min<std::size_t>(bytes.size(), 63));
+  std::memcpy(head, bytes.data(), std::min<std::size_t>(bytes.size(), 63));
   if (std::sscanf(head, "P6\n%u %u\n%u\n%n", &width, &height, &maxval, &consumed) != 3 ||
       maxval != 255)
     throw std::invalid_argument{"decode_ppm: bad header"};
@@ -226,7 +186,7 @@ Image decode_ppm(const std::vector<std::uint8_t>& bytes) {
   img.width = width;
   img.height = height;
   img.rgba.resize(static_cast<std::size_t>(width) * height * 4);
-  const std::uint8_t* src = bytes.data() + consumed;
+  const auto* src = reinterpret_cast<const std::uint8_t*>(bytes.data()) + consumed;
   for (std::uint32_t y = 0; y < height; ++y)
     for (std::uint32_t x = 0; x < width; ++x) {
       std::uint8_t* p = img.pixel(x, y);

@@ -3,13 +3,14 @@
 // The paper's function loads a 1 MiB, 3440x1440 JPEG at start-up and scales
 // it down to 10% per request. We have no JPEG codec (and no network to fetch
 // the original), so the resizer operates on a deterministic synthetic image
-// of the same dimensions; the resize math (box filter / bilinear) is real.
+// of the same dimensions; the resize math (a box filter) is real.
 #pragma once
 
 #include <cstdint>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace prebake::funcs {
@@ -63,13 +64,10 @@ class LazyImage {
 // the covered source rectangle. Requires 0 < scale <= 1.
 Image resize_box(const Image& src, double scale);
 
-// Bilinear resample to an explicit target size.
-Image resize_bilinear(const Image& src, std::uint32_t width,
-                      std::uint32_t height);
-
 // Binary PPM (P6) encoding (alpha dropped) for writing inspectable output.
-std::vector<std::uint8_t> encode_ppm(const Image& img);
+// A std::string, so a handler moves it into a response body as is.
+std::string encode_ppm(const Image& img);
 // Decode a P6 PPM produced by encode_ppm (alpha restored as 255).
-Image decode_ppm(const std::vector<std::uint8_t>& bytes);
+Image decode_ppm(std::string_view bytes);
 
 }  // namespace prebake::funcs

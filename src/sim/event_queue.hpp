@@ -10,13 +10,13 @@
 //    before falling back to a direct minimum scan and recalibrating the
 //    bucket width to the live event spread.
 //
-//  - BinaryHeapQueue: the original std::priority_queue engine, kept as the
-//    reference implementation for the cross-engine determinism suite
-//    (ScaleEngine* tests) and as an escape hatch.
+//  - BinaryHeapQueue: a std::priority_queue, the simulation's original
+//    engine, kept as the reference the ScaleEngineQueue tests pop the
+//    calendar queue against. sim::Simulation runs on the calendar queue.
 //
 // Both pop events in strictly increasing (at, seq) order; the calendar queue
 // is bit-identical to the heap by construction because (at, seq) is a total
-// order — the determinism suite pins this.
+// order — the queue tests pin this.
 #pragma once
 
 #include <cstddef>

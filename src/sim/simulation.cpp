@@ -34,7 +34,7 @@ EventId Simulation::schedule_at(TimePoint at, EventFn fn) {
   s.fn = std::move(fn);
   s.live = true;
   const EventId id = encode(slot, s.gen);
-  queue_push(QueuedEvent{at, next_seq_++, id});
+  queue_.push(QueuedEvent{at, next_seq_++, id});
   return id;
 }
 
@@ -47,8 +47,8 @@ bool Simulation::cancel(EventId id) {
 }
 
 bool Simulation::step() {
-  while (queue_size() > 0) {
-    const QueuedEvent ev = queue_pop();
+  while (!queue_.empty()) {
+    const QueuedEvent ev = queue_.pop();
     Slot* s = live_slot(ev.id);
     if (s == nullptr) {
       // Cancelled event; skip its shell.
@@ -70,8 +70,8 @@ void Simulation::run() {
 }
 
 void Simulation::run_until(TimePoint until) {
-  for (const QueuedEvent* top = queue_peek();
-       top != nullptr && top->at <= until; top = queue_peek()) {
+  for (const QueuedEvent* top = queue_.peek();
+       top != nullptr && top->at <= until; top = queue_.peek()) {
     if (!step()) break;
   }
   now_ = std::max(now_, until);

@@ -6,11 +6,10 @@
 // FaaS platform's request arrivals, replica lifecycles, autoscaler alerts)
 // schedules callbacks.
 //
-// The default queue is a calendar queue (amortised O(1) insert/pop for the
-// timer-dominated pending sets of large trace replays); the original binary
-// heap is retained behind QueueKind::kBinaryHeap as the reference engine for
-// the cross-engine determinism suite. Both produce bit-identical event
-// execution order — (time, scheduling sequence) is a total order.
+// The queue is a calendar queue (amortised O(1) insert/pop for the
+// timer-dominated pending sets of large trace replays). It pops in the
+// (time, scheduling sequence) total order; sim::BinaryHeapQueue is the
+// reference the queue tests pop against.
 #pragma once
 
 #include <cstdint>
@@ -26,19 +25,11 @@ namespace prebake::sim {
 using EventFn = std::function<void()>;
 using EventId = std::uint64_t;
 
-enum class QueueKind {
-  kCalendar,    // default: calendar queue, near-O(1) for large pending sets
-  kBinaryHeap,  // reference: the original std::priority_queue engine
-};
-
 class Simulation {
  public:
   Simulation() = default;
-  explicit Simulation(QueueKind kind) : kind_(kind) {}
   Simulation(const Simulation&) = delete;
   Simulation& operator=(const Simulation&) = delete;
-
-  QueueKind queue_kind() const { return kind_; }
 
   TimePoint now() const { return now_; }
 
@@ -78,7 +69,7 @@ class Simulation {
   // are executed).
   void run_until(TimePoint until);
 
-  std::size_t pending_events() const { return queue_size() - cancelled_live_; }
+  std::size_t pending_events() const { return queue_.size() - cancelled_live_; }
 
  private:
   // One slab slot: the callback plus the generation stamped into its
@@ -105,27 +96,9 @@ class Simulation {
   }
   void release_slot(std::uint32_t slot);
 
-  void queue_push(const QueuedEvent& e) {
-    if (kind_ == QueueKind::kCalendar)
-      calendar_.push(e);
-    else
-      heap_.push(e);
-  }
-  const QueuedEvent* queue_peek() {
-    return kind_ == QueueKind::kCalendar ? calendar_.peek() : heap_.peek();
-  }
-  QueuedEvent queue_pop() {
-    return kind_ == QueueKind::kCalendar ? calendar_.pop() : heap_.pop();
-  }
-  std::size_t queue_size() const {
-    return kind_ == QueueKind::kCalendar ? calendar_.size() : heap_.size();
-  }
-
   TimePoint now_ = TimePoint::origin();
   std::uint64_t next_seq_ = 0;
-  QueueKind kind_ = QueueKind::kCalendar;
-  CalendarQueue calendar_;
-  BinaryHeapQueue heap_;
+  CalendarQueue queue_;
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNilSlot;
   std::size_t cancelled_live_ = 0;

@@ -1,15 +1,12 @@
-// Cross-engine determinism suite for the calendar queue (DESIGN.md §6h).
+// Differential suite for the calendar queue (DESIGN.md §6h).
 //
 // The calendar queue must pop events in exactly the same (time, sequence)
-// order as the reference binary heap — the simulation's event execution
-// order is pinned bit-identical across engines. The suites here drive both
-// queues (and both Simulation engines) through identical workloads and
-// assert identical observable behaviour.
+// order as the reference binary heap. The suites here drive both queues
+// through identical workloads and assert identical pops; the Simulation
+// tests cover cancels, ties and run_until on the engine itself.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <functional>
-#include <string>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -136,61 +133,8 @@ TEST(ScaleEngineQueue, SingleDistantEventAfterDrain) {
   EXPECT_TRUE(q.empty());
 }
 
-// Drive both Simulation engines through the same scripted workload —
-// chained events, cancellations, equal-time ties, run_until horizons — and
-// require the identical firing log.
-std::vector<std::string> scripted_run(QueueKind kind) {
-  Simulation sim{kind};
-  std::vector<std::string> log;
-  Rng rng{1234};
-  std::function<void(int)> chain = [&](int depth) {
-    log.push_back("chain" + std::to_string(depth) + "@" +
-                  std::to_string(sim.now().nanos_since_origin()));
-    if (depth < 40) {
-      sim.schedule_in(Duration::nanos(static_cast<std::int64_t>(
-                          rng.next_below(5'000'000))),
-                      [&chain, depth] { chain(depth + 1); });
-    }
-  };
-  std::vector<EventId> cancellable;
-  for (int i = 0; i < 200; ++i) {
-    const auto at = TimePoint::origin() +
-                    Duration::nanos(static_cast<std::int64_t>(
-                        rng.next_below(50'000'000)));
-    if (i % 3 == 0) {
-      cancellable.push_back(sim.schedule_at(
-          at, [&log, i] { log.push_back("fired" + std::to_string(i)); }));
-    } else {
-      sim.schedule_at(at,
-                      [&log, i] { log.push_back("ev" + std::to_string(i)); });
-    }
-  }
-  for (std::size_t i = 0; i < cancellable.size(); i += 2)
-    sim.cancel(cancellable[i]);
-  sim.schedule_in(Duration::nanos(1), [&] { chain(0); });
-  sim.run_until(TimePoint::origin() + Duration::millis(20));
-  log.push_back("until@" + std::to_string(sim.now().nanos_since_origin()) +
-                " pending=" + std::to_string(sim.pending_events()));
-  sim.run();
-  log.push_back("end@" + std::to_string(sim.now().nanos_since_origin()));
-  return log;
-}
-
-TEST(ScaleEngineSim, ScriptedWorkloadIdenticalAcrossEngines) {
-  const auto calendar = scripted_run(QueueKind::kCalendar);
-  const auto heap = scripted_run(QueueKind::kBinaryHeap);
-  ASSERT_EQ(calendar.size(), heap.size());
-  for (std::size_t i = 0; i < calendar.size(); ++i)
-    EXPECT_EQ(calendar[i], heap[i]) << "at log index " << i;
-}
-
-TEST(ScaleEngineSim, DefaultEngineIsCalendar) {
-  Simulation sim;
-  EXPECT_EQ(sim.queue_kind(), QueueKind::kCalendar);
-}
-
 TEST(ScaleEngineSim, PendingEventsExcludesCancelledShells) {
-  Simulation sim{QueueKind::kCalendar};
+  Simulation sim;
   const EventId a = sim.schedule_in(Duration::millis(1), [] {});
   sim.schedule_in(Duration::millis(2), [] {});
   EXPECT_EQ(sim.pending_events(), 2u);

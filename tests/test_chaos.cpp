@@ -115,7 +115,7 @@ TEST(ChaosInjector, ResetKeepsPlanDropsCounters) {
   EXPECT_EQ(inj.trace().front().draw, 0u);
 }
 
-// --- StartupService: retry / deadline / fallback ---------------------------
+// --- StartupService: retry / fallback ------------------------------------
 
 class ChaosStartup : public ::testing::Test {
  protected:
@@ -223,25 +223,6 @@ TEST_F(ChaosStartup, WithoutFallbackTheTypedErrorPropagates) {
   } catch (const criu::RestoreError& e) {
     EXPECT_EQ(e.kind(), criu::RestoreErrorKind::kCorruptImage);
   }
-}
-
-TEST_F(ChaosStartup, DeadlineShortCircuitsRetryBudget) {
-  const core::BakedSnapshot snap = bake(exp::noop_spec());
-  os::FaultPlan plan;
-  plan.image_corruption_rate = 1.0;
-  kernel_.faults().configure(plan);
-
-  core::PrebakedStartOptions opts;
-  opts.restore.fs_prefix = snap.fs_prefix;
-  opts.policy.max_attempts = 100;
-  opts.policy.deadline = sim::Duration::millis(1);
-  opts.policy.fallback_to_vanilla = true;
-  core::ReplicaProcess rep =
-      startup_.start_prebaked(baked_spec_, snap.images, opts, sim::Rng{4});
-
-  EXPECT_TRUE(rep.breakdown.fell_back_to_vanilla);
-  // The deadline cut the 100-attempt budget after a couple of tries.
-  EXPECT_LT(rep.breakdown.restore_attempts, 5u);
 }
 
 TEST_F(ChaosStartup, NonTransientFaultSkipsRetries) {

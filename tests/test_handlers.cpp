@@ -40,8 +40,7 @@ TEST(ImageResizer, ScalesToTenPercent) {
   EXPECT_EQ(res.headers.at("X-Original-Size"), "200x100");
   EXPECT_EQ(res.headers.at("X-Scaled-Size"), "20x10");
   // Body is a decodable PPM of the scaled size.
-  const Image out = decode_ppm(
-      std::vector<std::uint8_t>(res.body.begin(), res.body.end()));
+  const Image out = decode_ppm(res.body);
   EXPECT_EQ(out.width, 20u);
   EXPECT_EQ(out.height, 10u);
 }

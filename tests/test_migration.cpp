@@ -148,19 +148,6 @@ TEST_F(MigrationPlatformTest, DrainMigrateWarmEvacuatesWarmth) {
   EXPECT_EQ(stats.warmth_replicas_destroyed, 0u);
 }
 
-TEST_F(MigrationPlatformTest, RebalanceShedsIdleReplicaFromHotNode) {
-  // Watermark 0: every schedulable node with an idle replica is "hot", so
-  // rebalance must shed exactly the one idle replica we have.
-  config_.rebalance_high_watermark = 0.0;
-  warm_one();
-  const NodeId source = platform().find_replica_node("noop");
-  EXPECT_EQ(platform().rebalance(), 1u);
-  pump_for();
-  EXPECT_EQ(platform().stats().rebalance_moves, 1u);
-  EXPECT_EQ(platform().stats().migrations_completed, 1u);
-  EXPECT_NE(platform().find_replica_node("noop"), source);
-}
-
 TEST_F(MigrationPlatformTest, SourceCrashMidPreDumpAbortsToLocal) {
   warm_one();
   const NodeId source = platform().find_replica_node("noop");
@@ -234,27 +221,6 @@ TEST_F(MigrationPlatformTest, DestinationCrashRetriesOnAnotherNode) {
     EXPECT_EQ(platform().find_replica_node("noop"), source);
   }
   EXPECT_TRUE(invoke_sync("noop").ok());
-}
-
-TEST_F(MigrationPlatformTest, HealthEwmaTriggersEvacuation) {
-  // Every prebaked start fails its image reads and falls back: the node
-  // health EWMA (alpha 0.2) crosses 0.3 on the second failing start.
-  config_.evacuation_threshold = 0.3;
-  config_.evacuation_cooldown = sim::Duration::seconds(5);
-  warm_one();  // clean start: EWMA stays 0, no evacuation yet
-  EXPECT_EQ(platform().stats().evacuations, 0u);
-
-  faults::FaultPlan plan;
-  plan.image_read_error_rate = 1.0;
-  kernel_.faults().configure(plan);
-  // A burst of failing starts: whichever node eats the second one crosses
-  // the threshold (0.2 then 0.36) and evacuates.
-  platform().scale_up("noop", 6);
-  pump_for();
-
-  EXPECT_GE(platform().stats().restore_fallbacks, 2u);
-  EXPECT_GE(platform().stats().evacuations, 1u);
-  EXPECT_GE(platform().stats().migrations_started, 1u);
 }
 
 // --- pre-dump chain robustness (CRIU layer) --------------------------------

@@ -13,17 +13,14 @@
 //   prebakectl workload generate --out FILE [--functions N] [--zipf-s S]
 //               [--rate HZ] [--requests N] [--seed S]
 //   prebakectl workload stats --in FILE
-//   prebakectl bench throughput [--reps N]
 //   prebakectl layers FUNCTION [--seed S]
 //
 // Functions: noop | markdown | image-resizer | synthetic-{small,medium,big}
 // Techniques: vanilla | pb-nowarmup | pb-warmup
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <map>
-#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -31,7 +28,6 @@
 #include <vector>
 
 #include "core/prebaker.hpp"
-#include "criu/dump.hpp"
 #include "criu/image.hpp"
 #include "criu/page_store.hpp"
 #include "criu/restore.hpp"
@@ -55,7 +51,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: prebakectl "
                "<list|startup|service|bake-info|trace|nodes|migrate|store"
-               "|faults|workload|bench|ws|layers> [flags]\n"
+               "|faults|workload|ws|layers> [flags]\n"
                "  startup   --function F --technique T [--reps N] [--seed S]"
                " [--first-response]\n"
                "  service   --function F --technique T [--requests N]\n"
@@ -90,9 +86,6 @@ int usage() {
                "  workload stats --in FILE [--top N]\n"
                "            (events, span, arrival rate, hottest functions"
                " of a trace)\n"
-               "  bench throughput [--reps N]\n"
-               "            (host restores/sec of the zero-copy restore"
-               " hot path, DESIGN.md 6g)\n"
                "  ws stats FUNCTION [--requests N] [--seed S]\n"
                "            (record-and-prefetch working-set size and"
                " coverage, DESIGN.md 6j)\n"
@@ -599,84 +592,6 @@ int cmd_workload(const exp::CliArgs& args) {
   throw std::invalid_argument{"workload: unknown subcommand " + sub};
 }
 
-// `prebakectl bench throughput`: the restore-throughput hot-path sweep of
-// bench/restore_throughput in CLI form — how many restores per second the
-// host executes (the harness engine's own speed, not simulated latency)
-// across the three restore modes. The CTest gate lives in the bench; this
-// is the quick interactive view.
-int cmd_bench(const exp::CliArgs& args) {
-  const std::string sub =
-      args.positional().size() > 1 ? args.positional()[1] : "throughput";
-  if (sub != "throughput") {
-    std::fprintf(stderr, "prebakectl bench: unknown subcommand '%s'\n",
-                 sub.c_str());
-    return usage();
-  }
-  const int reps = static_cast<int>(args.get_int_or("reps", 200));
-
-  struct Cell {
-    const char* mode;
-    int heap_mib;
-  };
-  constexpr Cell kCells[] = {
-      {"full-eager", 16}, {"full-eager", 64}, {"lazy", 16},
-      {"lazy", 64},       {"cow-clone", 16},  {"cow-clone", 64},
-  };
-  exp::TextTable table{{"Mode", "Heap", "Restores/s", "Sim per restore",
-                        "Pages"}};
-  for (const Cell& cell : kCells) {
-    sim::Simulation sim;
-    os::Kernel kernel{sim, exp::testbed_costs()};
-    kernel.fs().create("/bin/app", 1024 * 1024);
-    const os::Pid pid = kernel.clone_process(os::kNoPid);
-    kernel.exec(pid, "/bin/app", {"/bin/app"});
-    const os::VmaId heap = kernel.mmap(
-        pid, static_cast<std::uint64_t>(cell.heap_mib) * 1024 * 1024,
-        os::Prot::kReadWrite, os::VmaKind::kAnon, "[heap]",
-        std::make_shared<os::PatternSource>(0x9e11 + cell.heap_mib), false);
-    kernel.fault_in_all(pid, heap, /*write=*/true);
-    criu::DumpOptions dopts;
-    dopts.fs_prefix = "/img/";
-    const criu::DumpResult dump = criu::Dumper{kernel}.dump(pid, dopts);
-
-    criu::RestoreOptions opts;
-    opts.fs_prefix = "/img/";
-    if (std::string{cell.mode} == "lazy")
-      opts.paging = criu::PagingPolicy::lazy();
-    criu::PageStore store;
-    criu::Restorer restorer{kernel};
-    if (std::string{cell.mode} == "cow-clone") {
-      opts.page_store = &store;
-      opts.store_key = "/img/";
-    }
-    {  // untimed warm-up (cold image reads, template materialization)
-      const criu::RestoreResult r = restorer.restore(dump.images, opts);
-      kernel.kill_process(r.pid);
-      kernel.reap(r.pid);
-    }
-    double sim_ms = 0.0;
-    std::uint64_t pages = 0;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < reps; ++i) {
-      const sim::TimePoint s0 = sim.now();
-      const criu::RestoreResult r = restorer.restore(dump.images, opts);
-      sim_ms = (sim.now() - s0).to_millis();
-      pages = r.pages_restored;
-      kernel.kill_process(r.pid);
-      kernel.reap(r.pid);
-    }
-    const double secs =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
-    char rps[64];
-    std::snprintf(rps, sizeof rps, "%.0f", static_cast<double>(reps) / secs);
-    table.add_row({cell.mode, std::to_string(cell.heap_mib) + " MiB", rps,
-                   exp::fmt_ms(sim_ms), std::to_string(pages)});
-  }
-  std::printf("%s", table.to_string().c_str());
-  return 0;
-}
-
 // Run the chaos scenario and print the fault-injector state (plan, draw
 // and firing counts per site) plus the snapshot circuit-breaker table.
 int cmd_faults(const exp::CliArgs& args) {
@@ -762,9 +677,11 @@ int cmd_migrate(const exp::CliArgs& args) {
   faas::Platform platform{kernel, exp::testbed_runtime(), cfg,
                           static_cast<std::uint64_t>(args.get_int_or("seed", 42))};
   std::vector<faas::NodeId> ids;
-  for (std::uint32_t i = 0; i < nodes; ++i)
-    ids.push_back(
-        platform.resources().add_node("w" + std::to_string(i), 8ull << 30, 2));
+  for (std::uint32_t i = 0; i < nodes; ++i) {
+    std::string name = "w";
+    name += std::to_string(i);
+    ids.push_back(platform.resources().add_node(name, 8ull << 30, 2));
+  }
   // --from / --to name nodes by index (w0..wN-1), -1 = any.
   const auto node_arg = [&args, &ids](const char* name) -> faas::NodeId {
     const int v = static_cast<int>(args.get_int_or(name, -1));
@@ -1030,8 +947,6 @@ int main(int argc, char** argv) {
       rc = cmd_faults(args);
     } else if (command == "workload") {
       rc = cmd_workload(args);
-    } else if (command == "bench") {
-      rc = cmd_bench(args);
     } else if (command == "ws") {
       rc = cmd_ws(args);
     } else if (command == "layers") {
