@@ -4,7 +4,9 @@
 // cost of the simulation itself, useful for keeping the harness fast).
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <optional>
+#include <span>
 
 #include "criu/crc32.hpp"
 #include "criu/dump.hpp"
@@ -90,35 +92,59 @@ void BM_DigestListCached(benchmark::State& state) {
 }
 BENCHMARK(BM_DigestListCached)->Arg(256)->Arg(4096)->Arg(65536);
 
-// A template freeze on a node whose store already holds `range(0)` records:
-// register one 3,591-digest template (a fleet function's chain) of which
-// 3,392 digests are held already, as the fleet's shared runtime pages are. A
-// resident template pins every held record, so dropping the measured
-// template and applying a budget of exactly those records (untimed) evicts
-// its 199 new pages: every iteration starts from the same store. With
-// `range(1)` = 1 that budget stays on, so each registration overflows it
-// with pinned pages alone and evicts nothing. The reset scans the whole
-// table, so the iteration count is fixed to keep the untimed part short.
+// A template freeze on a node whose store already holds `range(0)` records,
+// all pinned by one resident template. The frozen template has a fleet
+// snapshot's seven pagemap runs, 3,591 digests. With `range(2)` = 1, the
+// fleet's shape, its three runtime runs (java.text, [jvm-heap] and
+// [metaspace]: 3,392 digests) are runs the resident template pins too, and
+// only its four own runs (199 digests) are new; with 0, every run is new.
+// Dropping the template and applying a budget of exactly the resident
+// records (untimed) evicts its new pages, so every iteration starts from the
+// same store. With `range(1)` = 1 that budget stays on, so each
+// registration overflows it with pinned pages alone and evicts nothing. The
+// reset scans the whole table, so the iteration count is fixed to keep the
+// untimed part short.
 void BM_PageStoreMaterialize(benchmark::State& state) {
+  // A fleet snapshot's runs in pagemap order, and which of them are the
+  // runtime's, the same in every fleet function.
+  constexpr std::array<std::size_t, 7> kRuns{64, 128, 2816, 512, 42, 11, 18};
+  constexpr std::array<bool, 7> kRuntime{true,  false, true, true,
+                                         false, false, false};
   constexpr std::size_t kDigests = 3591;
-  constexpr std::size_t kHeld = 3392;
   const auto records = static_cast<std::size_t>(state.range(0));
   const bool bounded = state.range(1) != 0;
+  const bool shared = state.range(2) != 0;
   const os::PatternSource src{42};
-  criu::PageStore::TemplateInfo resident;
-  for (std::size_t i = 0; i < records; ++i)
-    resident.digests.push_back(src.page_digest(i));
-  criu::PageStore::TemplateInfo fn;
-  fn.digests.assign(resident.digests.begin(),
-                    resident.digests.begin() + kHeld);
-  for (std::size_t i = 0; i < kDigests - kHeld; ++i)
-    fn.digests.push_back(src.page_digest(records + i));
+  std::vector<std::uint64_t> resident(records);
+  for (std::size_t i = 0; i < records; ++i) resident[i] = src.page_digest(i);
+  // The frozen template's digests, run by run: a shared runtime run repeats
+  // the resident's next digests, every other run is fresh.
+  std::vector<std::uint64_t> fn;
+  std::size_t held = 0;
+  for (std::size_t r = 0; r < kRuns.size(); ++r)
+    for (std::size_t i = 0; i < kRuns[r]; ++i)
+      fn.push_back(shared && kRuntime[r] ? resident[held++]
+                                         : src.page_digest(records + fn.size()));
+  // The resident template pins the runtime runs, then its other records as
+  // one more run.
+  std::vector<criu::PageStore::Run> resident_runs;
+  std::vector<criu::PageStore::Run> fn_runs;
+  std::size_t res_at = 0;
+  std::size_t fn_at = 0;
+  for (std::size_t r = 0; r < kRuns.size(); ++r) {
+    if (kRuntime[r]) {
+      resident_runs.push_back(std::span{resident}.subspan(res_at, kRuns[r]));
+      res_at += kRuns[r];
+    }
+    fn_runs.push_back(std::span{fn}.subspan(fn_at, kRuns[r]));
+    fn_at += kRuns[r];
+  }
+  resident_runs.push_back(std::span{resident}.subspan(res_at));
   criu::PageStore store;
-  store.register_template("resident", std::move(resident));
+  store.register_template("resident", {}, resident_runs);
   if (bounded) store.set_capacity(records * os::kPageSize);
-  criu::PageStore::TemplateInfo info = fn;
   for (auto _ : state) {
-    store.register_template("fn", std::move(info));
+    store.register_template("fn", {}, fn_runs);
     benchmark::ClobberMemory();
     state.PauseTiming();
     store.drop_template("fn");
@@ -126,15 +152,14 @@ void BM_PageStoreMaterialize(benchmark::State& state) {
       store.set_capacity(records * os::kPageSize);
       store.set_capacity(0);
     }
-    info = fn;
     state.ResumeTiming();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(kDigests));
 }
 BENCHMARK(BM_PageStoreMaterialize)
-    ->ArgNames({"records", "bounded"})
-    ->ArgsProduct({{4000, 50000, 400000}, {0, 1}})
+    ->ArgNames({"records", "bounded", "shared"})
+    ->ArgsProduct({{4000, 50000, 400000}, {0, 1}, {0, 1}})
     ->Iterations(1000);
 
 void BM_EncodeDecodePagemap(benchmark::State& state) {

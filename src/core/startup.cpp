@@ -198,14 +198,15 @@ ReplicaProcess StartupService::start_prebaked(const rt::FunctionSpec& spec,
   const sim::TimePoint t_restored = k.sim().now();
 
   // Learn how warm the image is from its stats entry.
-  const criu::StatsEntry stats =
-      criu::decode_stats(images.get("stats.img").bytes);
+  const std::optional<criu::StatsEntry>& stats = images.decoded().stats;
+  if (!stats)
+    throw std::runtime_error{"ImageDir: missing image file stats.img"};
   {
     obs::Span phase = tr.span("appinit", "core.phase");
     rep.runtime = std::make_unique<rt::ManagedRuntime>(
         rt::ManagedRuntime::attach_restored(k, rep.pid, costs_, spec,
                                             std::move(rng),
-                                            stats.warmup_requests > 0,
+                                            stats->warmup_requests > 0,
                                             *assets_));
   }
   const sim::TimePoint t_ready = k.sim().now();

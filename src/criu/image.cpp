@@ -25,14 +25,11 @@ std::vector<std::uint8_t> frame(ImageType type, Writer body) {
   return w.take();
 }
 
-// Strip and verify the header/CRC; returns a Reader over the body.
-Reader unframe(ImageType expected, std::span<const std::uint8_t> img) {
+// Strip the header of an image whose CRC is already verified; returns a
+// Reader over the body.
+Reader open_frame(ImageType expected, std::span<const std::uint8_t> img) {
   if (img.size() < 16) throw std::runtime_error{"image too small"};
-  const std::span<const std::uint8_t> without_crc{img.data(), img.size() - 4};
-  Reader tail{img.subspan(img.size() - 4)};
-  if (tail.u32() != crc32(without_crc))
-    throw std::runtime_error{"image CRC mismatch"};
-  Reader r{without_crc};
+  Reader r{img.first(img.size() - 4)};
   if (r.u32() != kImageMagic) throw std::runtime_error{"bad image magic"};
   const auto type = static_cast<ImageType>(r.u32());
   if (type != expected) throw std::runtime_error{"unexpected image type"};
@@ -40,6 +37,15 @@ Reader unframe(ImageType expected, std::span<const std::uint8_t> img) {
   if (version != kFormatVersion)
     throw std::runtime_error{"unsupported image format version"};
   return r;
+}
+
+// Verify the trailing CRC, then strip the header.
+Reader unframe(ImageType expected, std::span<const std::uint8_t> img) {
+  if (img.size() < 16) throw std::runtime_error{"image too small"};
+  Reader tail{img.subspan(img.size() - 4)};
+  if (tail.u32() != crc32(img.first(img.size() - 4)))
+    throw std::runtime_error{"image CRC mismatch"};
+  return open_frame(expected, img);
 }
 
 }  // namespace
@@ -59,8 +65,8 @@ std::vector<std::uint8_t> encode_inventory(const InventoryEntry& e) {
   return frame(ImageType::kInventory, std::move(w));
 }
 
-InventoryEntry decode_inventory(std::span<const std::uint8_t> img) {
-  Reader r = unframe(ImageType::kInventory, img);
+namespace {
+InventoryEntry read_inventory(Reader r) {
   InventoryEntry e;
   e.version = r.u32();
   e.root_pid = r.i32();
@@ -74,6 +80,11 @@ InventoryEntry decode_inventory(std::span<const std::uint8_t> img) {
   e.caps = r.u32();
   return e;
 }
+}  // namespace
+
+InventoryEntry decode_inventory(std::span<const std::uint8_t> img) {
+  return read_inventory(unframe(ImageType::kInventory, img));
+}
 
 std::vector<std::uint8_t> encode_core(const std::vector<CoreEntry>& cores) {
   Writer w;
@@ -85,8 +96,8 @@ std::vector<std::uint8_t> encode_core(const std::vector<CoreEntry>& cores) {
   return frame(ImageType::kCore, std::move(w));
 }
 
-std::vector<CoreEntry> decode_core(std::span<const std::uint8_t> img) {
-  Reader r = unframe(ImageType::kCore, img);
+namespace {
+std::vector<CoreEntry> read_core(Reader r) {
   const std::uint32_t n = r.u32();
   std::vector<CoreEntry> cores(n);
   for (CoreEntry& c : cores) {
@@ -94,6 +105,11 @@ std::vector<CoreEntry> decode_core(std::span<const std::uint8_t> img) {
     for (std::uint64_t& reg : c.regs) reg = r.u64();
   }
   return cores;
+}
+}  // namespace
+
+std::vector<CoreEntry> decode_core(std::span<const std::uint8_t> img) {
+  return read_core(unframe(ImageType::kCore, img));
 }
 
 std::vector<std::uint8_t> encode_mm(const std::vector<VmaEntry>& vmas) {
@@ -114,8 +130,8 @@ std::vector<std::uint8_t> encode_mm(const std::vector<VmaEntry>& vmas) {
   return frame(ImageType::kMm, std::move(w));
 }
 
-std::vector<VmaEntry> decode_mm(std::span<const std::uint8_t> img) {
-  Reader r = unframe(ImageType::kMm, img);
+namespace {
+std::vector<VmaEntry> read_mm(Reader r) {
   const std::uint32_t n = r.u32();
   std::vector<VmaEntry> vmas(n);
   for (VmaEntry& v : vmas) {
@@ -132,6 +148,11 @@ std::vector<VmaEntry> decode_mm(std::span<const std::uint8_t> img) {
   }
   return vmas;
 }
+}  // namespace
+
+std::vector<VmaEntry> decode_mm(std::span<const std::uint8_t> img) {
+  return read_mm(unframe(ImageType::kMm, img));
+}
 
 std::vector<std::uint8_t> encode_pagemap(const std::vector<PagemapEntry>& es) {
   Writer w;
@@ -145,8 +166,8 @@ std::vector<std::uint8_t> encode_pagemap(const std::vector<PagemapEntry>& es) {
   return frame(ImageType::kPagemap, std::move(w));
 }
 
-std::vector<PagemapEntry> decode_pagemap(std::span<const std::uint8_t> img) {
-  Reader r = unframe(ImageType::kPagemap, img);
+namespace {
+std::vector<PagemapEntry> read_pagemap(Reader r) {
   const std::uint32_t n = r.u32();
   std::vector<PagemapEntry> es(n);
   for (PagemapEntry& e : es) {
@@ -157,13 +178,18 @@ std::vector<PagemapEntry> decode_pagemap(std::span<const std::uint8_t> img) {
   }
   return es;
 }
+}  // namespace
+
+std::vector<PagemapEntry> decode_pagemap(std::span<const std::uint8_t> img) {
+  return read_pagemap(unframe(ImageType::kPagemap, img));
+}
 
 std::vector<std::uint8_t> encode_pages(const PagesEntry& e) {
   Writer w;
   w.u8(static_cast<std::uint8_t>(e.mode));
   w.u32(static_cast<std::uint32_t>(e.digests.size()));
   // Seven zero bytes place the digest array at file offset 24 (the frame
-  // header is 12 bytes), an 8-byte boundary: decode_pages_spans can then
+  // header is 12 bytes), an 8-byte boundary: ImageDir::decoded() can then
   // hand out a borrowed uint64 span straight over the stored bytes.
   w.pad(7);
   for (std::uint64_t d : e.digests) w.u64(d);
@@ -185,8 +211,17 @@ PagesEntry decode_pages(std::span<const std::uint8_t> img) {
   return e;
 }
 
-PagesSpans decode_pages_spans(std::span<const std::uint8_t> img) {
-  Reader r = unframe(ImageType::kPages, img);
+namespace {
+// Zero-copy decode of a pages image body: the spans borrow the image bytes
+// and are valid only while those bytes stay alive and unchanged.
+struct PagesSpans {
+  PayloadMode mode = PayloadMode::kDigest;
+  std::uint32_t n_pages = 0;
+  std::span<const std::uint8_t> digest_bytes;  // n_pages * 8, little-endian
+  std::span<const std::uint8_t> raw;           // kFull payload bytes
+};
+
+PagesSpans read_pages_spans(Reader r) {
   PagesSpans s;
   s.mode = static_cast<PayloadMode>(r.u8());
   s.n_pages = r.u32();
@@ -196,6 +231,7 @@ PagesSpans decode_pages_spans(std::span<const std::uint8_t> img) {
   s.raw = r.view(raw_len);
   return s;
 }
+}  // namespace
 
 std::vector<std::uint8_t> encode_files(const std::vector<FileEntry>& es) {
   Writer w;
@@ -209,8 +245,8 @@ std::vector<std::uint8_t> encode_files(const std::vector<FileEntry>& es) {
   return frame(ImageType::kFiles, std::move(w));
 }
 
-std::vector<FileEntry> decode_files(std::span<const std::uint8_t> img) {
-  Reader r = unframe(ImageType::kFiles, img);
+namespace {
+std::vector<FileEntry> read_files(Reader r) {
   const std::uint32_t n = r.u32();
   std::vector<FileEntry> es(n);
   for (FileEntry& e : es) {
@@ -220,6 +256,11 @@ std::vector<FileEntry> decode_files(std::span<const std::uint8_t> img) {
     e.pipe_id = r.u64();
   }
   return es;
+}
+}  // namespace
+
+std::vector<FileEntry> decode_files(std::span<const std::uint8_t> img) {
+  return read_files(unframe(ImageType::kFiles, img));
 }
 
 std::vector<std::uint8_t> encode_stats(const StatsEntry& e) {
@@ -233,8 +274,8 @@ std::vector<std::uint8_t> encode_stats(const StatsEntry& e) {
   return frame(ImageType::kStats, std::move(w));
 }
 
-StatsEntry decode_stats(std::span<const std::uint8_t> img) {
-  Reader r = unframe(ImageType::kStats, img);
+namespace {
+StatsEntry read_stats(Reader r) {
   StatsEntry e;
   e.pages_dumped = r.u64();
   e.zero_pages = r.u64();
@@ -243,6 +284,11 @@ StatsEntry decode_stats(std::span<const std::uint8_t> img) {
   e.dump_duration_ns = r.i64();
   e.warmup_requests = r.u32();
   return e;
+}
+}  // namespace
+
+StatsEntry decode_stats(std::span<const std::uint8_t> img) {
+  return read_stats(unframe(ImageType::kStats, img));
 }
 
 std::vector<std::uint8_t> encode_ws(const WorkingSetImage& ws) {
@@ -470,6 +516,10 @@ std::uint64_t ImageDir::real_total() const {
 
 void ImageDir::validate() const {
   const std::lock_guard lock{*cache_mu_};
+  check_crcs();
+}
+
+void ImageDir::check_crcs() const {
   if (validated_) return;
   for (const auto& [name, f] : files_) {
     // The working-set image is advisory: damage to it downgrades the restore
@@ -489,20 +539,32 @@ void ImageDir::validate() const {
 const ImageDir::Decoded& ImageDir::decoded() const {
   const std::lock_guard lock{*cache_mu_};
   if (!decoded_) {
+    // One CRC pass per file and content generation: the records below parse
+    // bytes it verified, and validate() then has nothing left to check.
+    check_crcs();
+    const auto body = [this](const std::string& name, ImageType type) {
+      return open_frame(type, get(name).bytes);
+    };
     auto d = std::make_shared<Decoded>();
     if (has("inventory.img")) {
-      d->inventory = decode_inventory(get("inventory.img").bytes);
+      d->inventory =
+          read_inventory(body("inventory.img", ImageType::kInventory));
       const std::string core =
           "core-" + std::to_string(d->inventory->root_pid) + ".img";
-      if (has(core)) d->cores = decode_core(get(core).bytes);
+      if (has(core)) d->cores = read_core(body(core, ImageType::kCore));
     }
-    if (has("mm.img")) d->vmas = decode_mm(get("mm.img").bytes);
-    if (has("files.img")) d->files = decode_files(get("files.img").bytes);
-    if (has("pagemap.img")) d->pagemap = decode_pagemap(get("pagemap.img").bytes);
+    if (has("mm.img")) d->vmas = read_mm(body("mm.img", ImageType::kMm));
+    if (has("files.img"))
+      d->files = read_files(body("files.img", ImageType::kFiles));
+    if (has("pagemap.img"))
+      d->pagemap = read_pagemap(body("pagemap.img", ImageType::kPagemap));
+    if (has("stats.img"))
+      d->stats = read_stats(body("stats.img", ImageType::kStats));
     if (has("pages-1.img")) {
       // Zero-copy: the view's spans borrow the stored file bytes (v4 pads
       // the digest array to an 8-byte file offset for exactly this).
-      const PagesSpans ps = decode_pages_spans(get("pages-1.img").bytes);
+      const PagesSpans ps =
+          read_pages_spans(body("pages-1.img", ImageType::kPages));
       PagesView v;
       v.mode_ = ps.mode;
       v.n_pages_ = ps.n_pages;

@@ -127,16 +127,6 @@ struct PagesEntry {
   bool operator==(const PagesEntry&) const = default;
 };
 
-// Zero-copy decode of a pages image: the returned spans borrow from `img`
-// and are valid only while those bytes stay alive and unchanged.
-struct PagesSpans {
-  PayloadMode mode = PayloadMode::kDigest;
-  std::uint32_t n_pages = 0;
-  std::span<const std::uint8_t> digest_bytes;  // n_pages * 8, little-endian
-  std::span<const std::uint8_t> raw;           // kFull payload bytes
-};
-PagesSpans decode_pages_spans(std::span<const std::uint8_t> img);
-
 // --- per-file encode/decode (each returns/accepts a full image file body,
 // i.e. header + payload + trailing CRC) ------------------------------------
 std::vector<std::uint8_t> encode_inventory(const InventoryEntry& e);
@@ -260,7 +250,9 @@ class ImageDir {
   // Decoded view of the standard image files, built lazily on first access
   // and reused by every restore of this directory. Re-parsing (and
   // CRC-checking) the same unchanged bytes on each of the harness's hundreds
-  // of restores per scenario dominated the restore hot path. Absent files
+  // of restores per scenario dominated the restore hot path. The first
+  // access runs validate()'s CRC pass (so validate() then returns at once)
+  // and parses the verified bytes without checking them again. Absent files
   // leave their field empty; restore still reports them via get().
   struct Decoded {
     std::optional<InventoryEntry> inventory;
@@ -268,6 +260,7 @@ class ImageDir {
     std::vector<VmaEntry> vmas;         // mm.img
     std::vector<FileEntry> files;       // files.img
     std::vector<PagemapEntry> pagemap;  // pagemap.img
+    std::optional<StatsEntry> stats;    // stats.img
     std::optional<PagesView> pages;     // pages-1.img (borrows file bytes)
     // Owned digest storage for the rare case where the stored bytes cannot
     // back the span directly (misaligned buffer or big-endian host).
@@ -296,9 +289,10 @@ class ImageDir {
   // content generation: put() re-arms the check.
   void validate() const;
 
-  // Lazy decode cache; put() invalidates it. Concurrent reads (shared
-  // snapshots restored from several worker threads) are safe; mutation is
-  // not thread-safe, like every other container in the model.
+  // Lazy decode cache; put() invalidates it. Throws like validate() on a
+  // CRC mismatch. Concurrent reads (shared snapshots restored from several
+  // worker threads) are safe; mutation is not thread-safe, like every other
+  // container in the model.
   const Decoded& decoded() const;
 
   const std::map<std::string, ImageFile>& files() const { return files_; }
@@ -317,6 +311,7 @@ class ImageDir {
   mutable std::shared_ptr<std::atomic<bool>> live_gen_ =
       std::make_shared<std::atomic<bool>>(true);
   mutable bool validated_ = false;
+  void check_crcs() const;  // validate() under a held cache_mu_
 };
 
 }  // namespace prebake::criu

@@ -97,25 +97,92 @@ std::uint64_t PageStore::insert(std::span<const std::uint64_t> digests) {
   return fresh;
 }
 
-void PageStore::pin(std::span<const std::uint64_t> digests) {
-  ++tick_;
-  reserve(size_ + digests.size());
-  for (const std::uint64_t d : digests) ++stamp(d).refcount;
+std::uint64_t PageStore::run_key(Run run) {
+  std::uint64_t key = slot_hash(run.size());
+  for (const std::size_t i : {std::size_t{0}, run.size() / 2, run.size() - 1})
+    key = slot_hash(key ^ run[i]);
+  return key;
 }
 
-void PageStore::unpin(std::span<const std::uint64_t> digests) {
-  for (const std::uint64_t d : digests) {
-    const std::size_t i = find(d);
-    if (i == kNone || slots_[i].refcount == 0)
+std::uint32_t PageStore::find_extent(Run run) const {
+  const auto [first, last] = extent_ids_.equal_range(run_key(run));
+  for (auto it = first; it != last; ++it) {
+    const std::vector<std::uint64_t>& d = extents_[it->second].digests;
+    if (std::equal(d.begin(), d.end(), run.begin(), run.end()))
+      return it->second;
+  }
+  return kNoExtent;
+}
+
+std::uint32_t PageStore::pin_extent(Run run) {
+  if (const std::uint32_t id = find_extent(run); id != kNoExtent) {
+    Extent& e = extents_[id];
+    ++e.pins;
+    e.tick = tick_;
+    return id;
+  }
+  reserve(size_ + run.size());
+  for (const std::uint64_t d : run) ++stamp(d).refcount;
+  std::uint32_t id;
+  if (free_extents_.empty()) {
+    id = static_cast<std::uint32_t>(extents_.size());
+    extents_.emplace_back();
+  } else {
+    id = free_extents_.back();
+    free_extents_.pop_back();
+  }
+  Extent& e = extents_[id];
+  e.digests.assign(run.begin(), run.end());
+  e.key = run_key(run);
+  e.tick = tick_;
+  e.pins = 1;
+  extent_ids_.emplace(e.key, id);
+  return id;
+}
+
+void PageStore::unpin_extent(std::uint32_t id) {
+  Extent& e = extents_[id];
+  if (--e.pins > 0) return;
+  // Pages pinned here held their ticks while pinned; each takes the last
+  // pin's tick now, as if every pin had stamped it.
+  for (const std::uint64_t d : e.digests) {
+    Slot& s = slots_[find(d)];
+    s.tick = std::max(s.tick, e.tick);
+    if (--s.refcount == 0) has_unpinned_ = true;
+  }
+  const auto [first, last] = extent_ids_.equal_range(e.key);
+  for (auto it = first; it != last; ++it)
+    if (it->second == id) {
+      extent_ids_.erase(it);
+      break;
+    }
+  e = Extent{};
+  free_extents_.push_back(id);
+}
+
+void PageStore::pin(Run digests) {
+  ++tick_;
+  if (!digests.empty()) pin_extent(digests);
+}
+
+void PageStore::unpin(Run digests) {
+  if (!digests.empty()) {
+    const std::uint32_t id = find_extent(digests);
+    if (id == kNoExtent)
       throw std::logic_error{"PageStore::unpin: refcount underflow"};
-    if (--slots_[i].refcount == 0) has_unpinned_ = true;
+    unpin_extent(id);
   }
   evict_to_fit();
 }
 
 std::uint32_t PageStore::refcount(std::uint64_t digest) const {
   const std::size_t i = find(digest);
-  return i == kNone ? 0 : slots_[i].refcount;
+  if (i == kNone || slots_[i].refcount == 0) return 0;
+  std::uint32_t n = 0;
+  for (const Extent& e : extents_)
+    n += e.pins * static_cast<std::uint32_t>(
+                      std::count(e.digests.begin(), e.digests.end(), digest));
+  return n;
 }
 
 void PageStore::set_capacity(std::uint64_t bytes) {
@@ -147,12 +214,16 @@ const PageStore::TemplateInfo* PageStore::find_template(
   return it == templates_.end() ? nullptr : &it->second;
 }
 
-void PageStore::register_template(const std::string& key, TemplateInfo info) {
+void PageStore::register_template(const std::string& key, TemplateInfo info,
+                                  std::span<const Run> runs) {
   if (templates_.contains(key))
     throw std::logic_error{"PageStore::register_template: duplicate key " + key};
-  // One probe per digest inserts and pins it; evicting only afterwards keeps
-  // every page this template pins.
-  pin(info.digests);
+  // Evicting only after every run is pinned keeps every page this template
+  // pins.
+  ++tick_;
+  info.extents.clear();
+  for (const Run run : runs)
+    if (!run.empty()) info.extents.push_back(pin_extent(run));
   evict_to_fit();
   ++stats_.templates_materialized;
   if (!info.base_key.empty()) {
@@ -171,10 +242,10 @@ os::Pid PageStore::drop_template(const std::string& key) {
     if (base != templates_.end() && base->second.dependents > 0)
       --base->second.dependents;
   }
-  // Move the digests out before erasing; unpin may evict.
-  const std::vector<std::uint64_t> digests = std::move(it->second.digests);
+  const std::vector<std::uint32_t> extents = std::move(it->second.extents);
   templates_.erase(it);
-  unpin(digests);
+  for (const std::uint32_t id : extents) unpin_extent(id);
+  evict_to_fit();
   return pid;
 }
 
@@ -198,6 +269,9 @@ void PageStore::clear_pages() {
   std::fill(slots_.begin(), slots_.end(), Slot{});
   size_ = 0;
   has_unpinned_ = false;
+  extents_.clear();
+  free_extents_.clear();
+  extent_ids_.clear();
 }
 
 }  // namespace prebake::criu

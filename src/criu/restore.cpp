@@ -225,6 +225,25 @@ void adopt_identity(os::Process& proc, const InventoryEntry& inv,
     proc.spawn_thread(cores[i].tid).regs = cores[i].regs;
 }
 
+// A link's page digests cut at its non-zero pagemap runs: the extents a
+// template pins. Runs are clamped to the digest list, and digests past the
+// last run form one more extent, so the extents always concatenate to the
+// link's whole digest list.
+void append_page_runs(const ImageDir::Decoded& dec,
+                      std::vector<PageStore::Run>& runs) {
+  if (!dec.pages) return;
+  const std::span<const std::uint64_t> digests = dec.pages->digests();
+  std::size_t at = 0;
+  for (const PagemapEntry& e : dec.pagemap) {
+    if (e.zero) continue;
+    const std::size_t len =
+        std::min<std::uint64_t>(e.pages, digests.size() - at);
+    if (len > 0) runs.push_back(digests.subspan(at, len));
+    at += len;
+  }
+  if (at < digests.size()) runs.push_back(digests.subspan(at));
+}
+
 // If a restore step throws, tear the half-built process down so a failed
 // restore doesn't leak a process into the kernel table; the retry/fallback
 // paths start from a clean slate.
@@ -915,7 +934,8 @@ RestoreResult Restorer::run(const RestorePlan& plan,
   // immutable template and hand back a COW clone ("restore once, clone
   // many"): later replicas of the same key take the kCloneTemplate path and
   // skip the image reads entirely. Registering the template inserts and pins
-  // every link's pages in one pass, so a freeze records nothing up front.
+  // every link's pages, one extent per pagemap run, so a freeze records
+  // nothing up front.
   if (store != nullptr && paging.mode == PagingMode::kEager) {
     if (plan.freeze_key.empty()) {
       for (std::size_t i = first_replayed; i < n; ++i)
@@ -931,16 +951,12 @@ RestoreResult Restorer::run(const RestorePlan& plan,
       info.vma_map = vma_id_map;
       // A base+delta template maps the base's VMAs too, the delta's winning.
       if (base) info.vma_map.insert(tpl->vma_map.begin(), tpl->vma_map.end());
-      for (const LayerLink& link : plan.links) {
-        const ImageDir::Decoded& ldec = link.images->decoded();
-        if (ldec.pages) {
-          const std::span<const std::uint64_t> d = ldec.pages->digests();
-          info.digests.insert(info.digests.end(), d.begin(), d.end());
-        }
-      }
+      std::vector<PageStore::Run> runs;
+      for (const LayerLink& link : plan.links)
+        append_page_runs(link.images->decoded(), runs);
       // A base+delta template records its base for refcounted eviction.
       if (base) info.base_key = plan.clone_key;
-      store->register_template(plan.freeze_key, std::move(info));
+      store->register_template(plan.freeze_key, std::move(info), runs);
       result.template_materialized = true;
       result.pid = cow_clone(k, pid, opts);
       adopt_identity(k.process(result.pid), inv, dec.cores);

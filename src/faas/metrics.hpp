@@ -24,29 +24,18 @@ using LatencyHistogram = obs::LogHistogram;
 // everything the full log is queried for in benches (counts, cold-start
 // share, latency percentiles) at O(1) memory.
 struct RequestAggregate {
-  std::uint64_t count = 0;
   std::uint64_t cold_starts = 0;
-  // Cold starts served by the Vanilla fallback path (failed restore or
-  // quarantined snapshot) — answered, but without the prebaked latency.
-  // Queue rejections are NOT in here; they never reach a replica and are
-  // counted by PlatformStats::rejected / StreamReplayResult.
-  std::uint64_t fallback_serves = 0;
-  LatencyHistogram total_ms;
+  LatencyHistogram total_ms;         // one sample per recorded request
   LatencyHistogram cold_startup_ms;  // startup of cold-start requests only
 };
 
-// Per-function slice of the request stream: counters and latency *sums*
-// only, no histograms — 2000 deployed functions cost 2000 of these, ~100
-// bytes each, where per-function histograms would cost ~50 KiB each. The
-// streaming replay keeps one per function (O(functions), not O(requests)).
+// Per-function slice of the request stream: two counters, no histograms —
+// 2000 deployed functions cost 2000 of these, where per-function histograms
+// would cost ~50 KiB each. The streaming replay keeps one per function
+// (O(functions), not O(requests)).
 struct FunctionAggregate {
   std::uint64_t requests = 0;     // answered requests (ok or rejected)
-  std::uint64_t ok = 0;
-  std::uint64_t rejected = 0;     // queue-rejected (503), never served
-  std::uint64_t cold_starts = 0;
-  std::uint64_t fallback_serves = 0;
-  double total_ms_sum = 0.0;      // over served requests
-  double total_ms_max = 0.0;
+  std::uint64_t cold_starts = 0;  // among the served ones
 };
 
 }  // namespace prebake::faas

@@ -716,8 +716,6 @@ void Platform::record_request(const RequestMetrics& metrics) {
     request_log_.push_back(metrics);
     return;
   }
-  ++aggregate_.count;
-  if (metrics.fallback) ++aggregate_.fallback_serves;
   aggregate_.total_ms.record(metrics.total.to_millis());
   if (metrics.cold_start) {
     ++aggregate_.cold_starts;

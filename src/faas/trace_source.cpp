@@ -181,18 +181,10 @@ StreamReplayResult replay_trace_stream(Platform& platform, TraceSource& source) 
     ++fa.requests;
     if (res.ok()) {
       ++r.responses_ok;
-      ++fa.ok;
-      const double total_ms = m.total.to_millis();
-      fa.total_ms_sum += total_ms;
-      fa.total_ms_max = std::max(fa.total_ms_max, total_ms);
       if (m.cold_start) ++fa.cold_starts;
-      if (m.fallback) {
-        ++fa.fallback_serves;
-        ++r.responses_fallback;
-      }
+      if (m.fallback) ++r.responses_fallback;
     } else {
       ++r.responses_rejected;
-      ++fa.rejected;
     }
   };
 

@@ -236,8 +236,12 @@ TEST(ClusterPlatform, NodeStoreSurvivesNodeVectorGrowth) {
   const criu::PageStore& before = h.platform.resources().node(w1).store();
   ASSERT_EQ(before.template_count(), 1u);
   const std::uint64_t stored = before.stored_pages();
-  const std::vector<std::uint64_t> digests =
-      before.templates().begin()->second.digests;
+  // The template pins the snapshot's whole digest list.
+  const std::span<const std::uint64_t> digests =
+      h.platform.snapshots()
+          .get("noop", core::SnapshotPolicy::warmup(1))
+          .images.decoded()
+          .pages->digests();
   std::vector<std::uint32_t> refcounts;
   for (const std::uint64_t d : digests) refcounts.push_back(before.refcount(d));
   ASSERT_GT(stored, 0u);
@@ -434,7 +438,6 @@ TEST(ClusterPlatform, AggregateRequestLogStaysBounded) {
   // The full log stays empty; the aggregate carries the same information.
   EXPECT_TRUE(h.platform.request_log().empty());
   const RequestAggregate& agg = h.platform.request_aggregate();
-  EXPECT_EQ(agg.count, 5u);
   EXPECT_EQ(agg.cold_starts, 1u);
   EXPECT_EQ(agg.total_ms.count(), 5u);
   EXPECT_EQ(agg.cold_startup_ms.count(), 1u);

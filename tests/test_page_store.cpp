@@ -86,8 +86,9 @@ TEST(TemplateTest, RegisterPinsAndDropUnpins) {
   PageStore store;
   PageStore::TemplateInfo info;
   info.pid = 42;
-  info.digests = {7, 8, 9};
-  store.register_template("snap", std::move(info));
+  const std::uint64_t digests[] = {7, 8, 9};
+  const PageStore::Run runs[] = {digests};
+  store.register_template("snap", std::move(info), runs);
   EXPECT_TRUE(store.has_template("snap"));
   EXPECT_EQ(store.template_count(), 1u);
   EXPECT_EQ(store.refcount(7), 1u);
@@ -134,8 +135,9 @@ TEST(TemplateTest, RegisterUnderTinyBudgetKeepsEveryPinnedPage) {
   store.set_capacity(2 * kPageSize);
   PageStore::TemplateInfo info;
   info.pid = 9;
-  info.digests = {10, 11, 12, 13, 14};
-  store.register_template("t", std::move(info));
+  const std::uint64_t digests[] = {10, 11, 12, 13, 14};
+  const PageStore::Run runs[] = {digests};
+  store.register_template("t", std::move(info), runs);
   EXPECT_EQ(store.stored_pages(), 5u);
   EXPECT_FALSE(store.contains(1));
   EXPECT_FALSE(store.contains(2));
@@ -151,6 +153,57 @@ TEST(TemplateTest, RegisterUnderTinyBudgetKeepsEveryPinnedPage) {
   EXPECT_EQ(store.stats().evicted_pages, 5u);
 }
 
+TEST(TemplateTest, SharedRunsOutliveOneTemplate) {
+  // Two fleet functions: the runtime's heap and metaspace runs are the same
+  // in both, each has a run of its own. The second registration only bumps
+  // the shared extents' counts, so the pages count once per template, and
+  // dropping one template keeps the shared pages pinned for the other.
+  PageStore store;
+  const std::uint64_t heap[] = {1, 2, 3, 4};
+  const std::uint64_t meta[] = {5, 6};
+  const std::uint64_t own_a[] = {10, 11, 12};
+  const std::uint64_t own_b[] = {20, 21};
+  const PageStore::Run runs_a[] = {heap, meta, own_a};
+  const PageStore::Run runs_b[] = {heap, meta, own_b};
+  PageStore::TemplateInfo a;
+  a.pid = 1;
+  store.register_template("a", std::move(a), runs_a);
+  const std::uint64_t later[] = {30, 31};
+  store.insert(later);
+  PageStore::TemplateInfo b;
+  b.pid = 2;
+  store.register_template("b", std::move(b), runs_b);
+  EXPECT_EQ(store.stored_pages(), 13u);
+  EXPECT_EQ(store.template_pages(), 9u + 8u);
+  EXPECT_EQ(store.pinned_pages(*store.find_template("b")), 8u);
+  EXPECT_EQ(store.refcount(1), 2u);
+  EXPECT_EQ(store.refcount(10), 1u);
+
+  EXPECT_EQ(store.drop_template("a"), 1);
+  EXPECT_EQ(store.refcount(1), 1u);
+  EXPECT_EQ(store.refcount(10), 0u);
+  // The dropped template's own pages are the least recently pinned.
+  store.set_capacity(10 * kPageSize);
+  EXPECT_EQ(store.stats().evicted_pages, 3u);
+  for (const std::uint64_t d : own_a) EXPECT_FALSE(store.contains(d));
+  for (const std::uint64_t d : heap) EXPECT_TRUE(store.contains(d));
+  store.set_capacity(9 * kPageSize);
+  EXPECT_FALSE(store.contains(30));
+  EXPECT_TRUE(store.contains(31));
+
+  // Dropping the other template unpins the shared pages with the tick of
+  // their last pin, b's registration: they go after 31, inserted before
+  // it, and before 5 and 6 only by digest.
+  EXPECT_EQ(store.drop_template("b"), 2);
+  EXPECT_EQ(store.stored_pages(), 9u);
+  store.set_capacity(4 * kPageSize);
+  EXPECT_EQ(store.stats().evicted_pages, 9u);
+  for (const std::uint64_t d : {31, 1, 2, 3, 4})
+    EXPECT_FALSE(store.contains(d)) << d;
+  for (const std::uint64_t d : {5, 6, 20, 21})
+    EXPECT_TRUE(store.contains(d)) << d;
+}
+
 TEST(StoreTest, MovedStoreKeepsItsRecords) {
   PageStore store;
   std::vector<std::uint64_t> digests(100);
@@ -158,8 +211,9 @@ TEST(StoreTest, MovedStoreKeepsItsRecords) {
   store.insert(digests);
   PageStore::TemplateInfo info;
   info.pid = 7;
-  info.digests = {1, 2, 3};
-  store.register_template("t", std::move(info));
+  const std::uint64_t pinned[] = {1, 2, 3};
+  const PageStore::Run runs[] = {pinned};
+  store.register_template("t", std::move(info), runs);
   store.set_capacity(64 * kPageSize);  // evicts unpinned 4..39
 
   PageStore moved{std::move(store)};
@@ -283,14 +337,32 @@ TEST(StoreTest, MatchesReferenceModel) {
   for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
     std::mt19937_64 rng{seed};
     const auto below = [&](std::uint64_t n) { return rng() % n; };
+    const auto draw = [&](std::uint64_t n) {
+      std::vector<std::uint64_t> digests(n);
+      for (std::uint64_t& d : digests) d = pool[below(pool.size())];
+      return digests;
+    };
+    // The runs templates are made of: runs[0] recurs in about half of them
+    // (the fleet's runtime runs), runs[1] shares digests with it, runs[2]
+    // is empty, and fresh runs are drawn per template. The last six equal
+    // runs[0] but for one digest each, so whichever digests the store's
+    // run key samples, some of them share runs[0]'s key.
+    std::vector<std::vector<std::uint64_t>> runs{draw(6), draw(3), {}, draw(4),
+                                                 draw(2)};
+    runs[1].push_back(runs[0][1]);
+    runs[1].insert(runs[1].begin(), runs[0][4]);
+    for (std::size_t i = 0; i < 6; ++i) {
+      std::vector<std::uint64_t> near = runs[0];
+      near[i] = near[i] == pool[0] ? pool[1] : pool[0];
+      runs.push_back(std::move(near));
+    }
     PageStore store;
     ReferenceStore ref;
     std::map<std::string, std::vector<std::uint64_t>> templates;
     std::vector<std::vector<std::uint64_t>> pins;
     for (int step = 0; step < 3000; ++step) {
       SCOPED_TRACE(::testing::Message() << "seed " << seed << " step " << step);
-      std::vector<std::uint64_t> batch(below(11));
-      for (std::uint64_t& d : batch) d = pool[below(pool.size())];
+      std::vector<std::uint64_t> batch = draw(below(11));
       switch (below(7)) {
         case 0:
           ASSERT_EQ(store.insert(batch), ref.insert(batch));
@@ -310,13 +382,26 @@ TEST(StoreTest, MatchesReferenceModel) {
           }
           break;
         case 3: {
+          // Up to five runs, some of them from the pool, sometimes one run
+          // twice. The model pins their concatenation page by page.
+          std::vector<std::vector<std::uint64_t>> mine;
+          if (below(2) == 0) mine.push_back(runs[0]);
+          for (std::uint64_t n = below(4); n > 0; --n)
+            mine.push_back(below(3) == 0 ? draw(below(6))
+                                         : runs[below(runs.size())]);
+          if (!mine.empty() && below(4) == 0) {
+            std::vector<std::uint64_t> again = mine[below(mine.size())];
+            mine.push_back(std::move(again));
+          }
+          const std::vector<PageStore::Run> spans(mine.begin(), mine.end());
+          std::vector<std::uint64_t> all;
+          for (const std::vector<std::uint64_t>& run : mine)
+            all.insert(all.end(), run.begin(), run.end());
           std::string key = "t";
           key += std::to_string(step);
-          PageStore::TemplateInfo info;
-          info.digests = batch;
-          store.register_template(key, std::move(info));
-          ref.register_template(batch);
-          templates.emplace(key, batch);
+          store.register_template(key, {}, spans);
+          ref.register_template(all);
+          templates.emplace(key, std::move(all));
           break;
         }
         case 4:

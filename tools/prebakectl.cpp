@@ -914,7 +914,7 @@ int cmd_layers(const exp::CliArgs& args) {
       residency.add_row({n.name(), key,
                          tpl.base_key.empty() ? "base" : "delta",
                          std::to_string(n.store().template_dependents(key)),
-                         std::to_string(tpl.digests.size())});
+                         std::to_string(n.store().pinned_pages(tpl))});
   std::printf("%s", residency.to_string().c_str());
   return 0;
 }
